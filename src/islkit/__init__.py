@@ -10,7 +10,6 @@ from .asymptotic import (
     auto_energy_limit,
     cross_energy_limit,
     isl_limit,
-    mod1,
     re_dilog_on_circle,
 )
 from .correlation import (
@@ -26,9 +25,7 @@ from .optimize import (
     ExactCheck,
     OptResult,
     exact_validate,
-    grid_search,
     optimize_rotations,
-    refine_local,
 )
 from .sequences import (
     RotationSet,
@@ -83,7 +80,6 @@ __all__ = [
     "gf_at_negated_roots",
     "gf_at_roots",
     "gf_eval",
-    "grid_search",
     "interpolate_negated_root",
     "is_prime",
     "isl_limit",
@@ -93,7 +89,6 @@ __all__ = [
     "legendre_gf_closed_form",
     "legendre_sequence",
     "legendre_symbol",
-    "mod1",
     "next_prime",
     "optimize_rotations",
     "pattern_decomposition",
@@ -102,7 +97,6 @@ __all__ = [
     "power_sum_at_roots",
     "primes_in_range",
     "re_dilog_on_circle",
-    "refine_local",
     "roots_of_unity",
     "rotate_left",
 ]

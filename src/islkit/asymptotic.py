@@ -8,13 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def mod1(x: float) -> float:
-    """Fractional part in [0, 1)."""
-    # x - floor(x) rounds to exactly 1.0 for x just below an integer
-    f = float(x - np.floor(x))
-    return 0.0 if f >= 1.0 else f
-
-
 def re_dilog_on_circle(theta: float) -> float:
     """Real part of the dilogarithm series sum_k z^k / k^2 at z = e^(i*theta).
 
@@ -25,11 +18,23 @@ def re_dilog_on_circle(theta: float) -> float:
     return np.pi**2 / 6.0 - 0.25 * t * (2 * np.pi - t)
 
 
-def _check_fraction(f: float) -> float:
-    f = float(f)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"rotation fraction must lie in [0, 1], got {f}")
+def _check_fractions(f) -> np.ndarray:
+    f = np.asarray(f, dtype=np.float64)
+    bad = ~((f >= 0.0) & (f <= 1.0))  # also true for NaN
+    if bad.any():
+        raise ValueError(f"rotation fraction must lie in [0, 1], got {f[bad][0]}")
     return f
+
+
+def _auto(f: np.ndarray) -> np.ndarray:
+    d = np.abs(f - 0.5)
+    return 2.0 / 3.0 - 4.0 * d + 8.0 * d * d
+
+
+def _cross(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    sum_dev = np.abs(fa + fb - 1.0) - 0.5
+    diff_dev = np.abs(fa - fb) - 0.5
+    return 2.0 / 3.0 + 2.0 * (sum_dev * sum_dev) + 2.0 * (diff_dev * diff_dev)
 
 
 def auto_energy_limit(f: float) -> float:
@@ -37,9 +42,7 @@ def auto_energy_limit(f: float) -> float:
 
     2/3 - 4|f - 1/2| + 8 (f - 1/2)^2; minimum 1/6 at f = 1/4 or 3/4.
     """
-    f = _check_fraction(f)
-    d = abs(f - 0.5)
-    return 2.0 / 3.0 - 4.0 * d + 8.0 * d * d
+    return float(_auto(_check_fractions(f)))
 
 
 def cross_energy_limit(fa: float, fb: float) -> float:
@@ -48,55 +51,43 @@ def cross_energy_limit(fa: float, fb: float) -> float:
     2/3 + 2 (|fa + fb - 1| - 1/2)^2 + 2 (|fa - fb| - 1/2)^2, symmetric in
     (fa, fb); minimum 2/3.
     """
-    fa = _check_fraction(fa)
-    fb = _check_fraction(fb)
-    sum_dev = abs(fa + fb - 1.0) - 0.5
-    diff_dev = abs(fa - fb) - 0.5
-    return 2.0 / 3.0 + 2.0 * sum_dev**2 + 2.0 * diff_dev**2
+    return float(_cross(_check_fractions(fa), _check_fractions(fb)))
 
 
 @dataclass(frozen=True)
 class AsymptoticIsl:
     """Normalized (ISL / n^2) asymptotic value of a rotation set, split
-    into auto and cross parts."""
+    into auto and cross parts; arrays over the leading axes for a batch."""
 
-    fractions: tuple[float, ...]
-    auto_part: float
-    cross_part: float
+    fractions: tuple[float, ...] | np.ndarray
+    auto_part: float | np.ndarray
+    cross_part: float | np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self) -> float | np.ndarray:
         return self.auto_part + self.cross_part
 
 
 def isl_limit(fractions) -> AsymptoticIsl:
-    """Asymptotic normalized ISL of a rotation set.
+    """Asymptotic normalized ISL of a rotation set, or of a batch of sets.
 
-    Cross terms run over ordered pairs (p, q), p != q, so each unordered
-    pair contributes twice, mirroring the term structure of the exact
-    report.
+    fractions has shape (M,) or (..., M).  Cross terms run over ordered
+    pairs (p, q), p != q, so each unordered pair contributes twice,
+    mirroring the term structure of the exact report.  A single set gives
+    float parts and a tuple of fractions; a batch gives arrays over its
+    leading axes.
     """
-    fr = tuple(_check_fraction(f) for f in fractions)
-    if not fr:
+    f = _check_fractions(fractions)
+    if f.ndim == 0 or f.shape[-1] == 0:
         raise ValueError("rotation set is empty")
-    auto = sum(auto_energy_limit(f) for f in fr)
-    cross = 0.0
-    for p in range(len(fr)):
-        for q in range(len(fr)):
-            if p != q:
-                cross += cross_energy_limit(fr[p], fr[q])
-    return AsymptoticIsl(fractions=fr, auto_part=auto, cross_part=cross)
-
-
-def isl_limit_batch(fracs: np.ndarray) -> np.ndarray:
-    """isl_limit totals for a batch of rotation tuples, shape (B, M)."""
-    f = np.asarray(fracs, dtype=np.float64)
-    d = np.abs(f - 0.5)
-    total = np.sum(2.0 / 3.0 - 4.0 * d + 8.0 * d * d, axis=1)
-    m = f.shape[1]
-    for p in range(m):
-        for q in range(p + 1, m):
-            sum_dev = np.abs(f[:, p] + f[:, q] - 1.0) - 0.5
-            diff_dev = np.abs(f[:, p] - f[:, q]) - 0.5
-            total += 2.0 * (2.0 / 3.0 + 2.0 * sum_dev**2 + 2.0 * diff_dev**2)
-    return total
+    pair = _cross(f[..., :, None], f[..., None, :])
+    pair = np.where(np.eye(f.shape[-1], dtype=bool), 0.0, pair)
+    # cumsum adds strictly left to right, in the order of the term loop
+    # (p outer, q inner), so any batch row equals its single-set value
+    # bit for bit
+    auto = np.cumsum(_auto(f), axis=-1)[..., -1]
+    cross = np.cumsum(pair.reshape(*f.shape[:-1], -1), axis=-1)[..., -1]
+    if f.ndim == 1:
+        return AsymptoticIsl(fractions=tuple(f.tolist()), auto_part=float(auto),
+                             cross_part=float(cross))
+    return AsymptoticIsl(fractions=f, auto_part=auto, cross_part=cross)

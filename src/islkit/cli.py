@@ -11,6 +11,8 @@ import argparse
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import selfcheck
 from .asymptotic import isl_limit
 from .correlation import isl_report
@@ -21,6 +23,8 @@ from .spectral import auto_sidelobe_energy_spectral, cross_energy_spectral
 # Exact ISL is O(M^2 N^2); lengths past this need an explicit override.
 DIRECT_N_CAP = 20_000
 SPECTRAL_CHECK_MAX_N = 199
+# optimize evaluates its M-set with M x M arrays; --m 1000 peaks near 60 MB.
+M_CAP = 1000
 
 
 class UsageError(Exception):
@@ -73,6 +77,12 @@ def _check_cap(n: int, allow_large: bool) -> None:
             f"n={n} exceeds the direct-computation cap {DIRECT_N_CAP}; "
             "pass --allow-large to override"
         )
+
+
+def _check_m(m: int) -> int:
+    if not 1 <= m <= M_CAP:
+        raise UsageError(f"--m must lie in [1, {M_CAP}], got {m}")
+    return m
 
 
 def _emit(lines, output_path):
@@ -147,21 +157,20 @@ def cmd_surface(args) -> int:
     r = args.resolution
     if r < 2:
         raise UsageError("resolution must be >= 2")
+    axis = np.arange(r + 1) / r
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    rows = np.column_stack([grid, isl_limit(grid).total])
     lines = ["f1,f2,asym_isl"]
-    for i in range(r + 1):
-        f1 = i / r
-        for j in range(r + 1):
-            f2 = j / r
-            lines.append(",".join([fmt(f1), fmt(f2), fmt(isl_limit([f1, f2]).total)]))
+    lines.extend(",".join(map(fmt, row)) for row in rows.tolist())
     _emit(lines, args.output)
     return 0
 
 
 def cmd_sweep(args) -> int:
     if args.optimal:
-        if not args.m:
+        if args.m is None:
             raise UsageError("--optimal requires --m")
-        fractions = list(optimize_rotations(args.m, args.resolution, args.tol).fractions)
+        fractions = list(optimize_rotations(_check_m(args.m)).fractions)
     elif args.fractions:
         fractions = parse_fraction_list(args.fractions)
         if args.m and args.m != len(fractions):
@@ -187,7 +196,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    result = optimize_rotations(args.m, args.resolution, args.tol)
+    result = optimize_rotations(_check_m(args.m))
     lines = [
         " ".join(f"{f:.6g}" for f in result.fractions) + f"  {result.asym_value:.6f}"
     ]
@@ -259,16 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use rotations minimizing the asymptotic ISL")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="minimize the asymptotic ISL over rotations")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--m", type=int, required=True, help=f"set size, 1..{M_CAP}")
     p.add_argument("--exact-check", type=int, default=None,
                    help="also compute the exact normalized ISL at this prime")
     p.add_argument("--allow-large", action="store_true")

@@ -1,23 +1,39 @@
 """Minimization of the asymptotic normalized ISL over rotation fractions.
 
-The objective is permutation invariant and piecewise quadratic with
-seams along the absolute-value arguments, so the search is derivative
-free: an exhaustive lattice scan over sorted tuples followed by
-coordinate descent with a shrinking step.
+The minimum over M fractions is M^2 - M + 1/6, reached at
+f_p = (2p - 1)/(4M), p = 1..M.  Proof:
+
+- Put u_p = f_p - 1/2, B(x) = ({x} - 1/2)^2 and X = {+-u_p}, a multiset
+  of 2M points on the circle R/Z.
+- Expanding auto_energy_limit and cross_energy_limit gives exactly
+  isl_limit = 2M^2/3 - M + sum over x, y in X of B(x - y).
+- B is strictly convex on [0, 1].  Sort X around the circle as
+  x_0 <= ... <= x_{2M-1}; for each cyclic gap order r the forward gaps
+  from x_i to x_{i+r}, each in [0, 1], sum to r, so Jensen gives
+  sum_i B(x_{i+r} - x_i) >= 2M B(r/2M), with equality only when X is
+  equally spaced.  Summed over r = 0..2M-1 the bounds give
+  2M (M/6 + 1/(12M)), so isl_limit >= M^2 - M + 1/6.
+- Equally spaced points are distinct, but u_p = 0 puts 0 into X twice
+  and u_p = +-1/2 puts 1/2 into X twice.  The only equally spaced sets
+  of 2M points closed under x -> -x are the multiples of 1/(2M), which
+  contain 0, and the odd multiples of 1/(4M).  So X is the latter, |u_p|
+  runs over (2q - 1)/(4M), q = 1..M, and f_p is in
+  {1/2 +- (2q - 1)/(4M)}; every such choice attains the bound.
+- The 2^M sign choices (reflections f_p -> 1 - f_p) tie; the sorted,
+  lexicographically smallest takes every f_p below 1/2, which is
+  (2p - 1)/(4M).
+
+For M = 1 this is the merit-factor-6 quarter rotation (Hoholdt and
+Jensen, IEEE Trans. Inf. Theory 34(1), 1988).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .asymptotic import isl_limit, isl_limit_batch
+from .asymptotic import isl_limit
 from .correlation import isl_report
 from .sequences import bind_rotations
-
-DEFAULT_GRID_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -33,120 +49,25 @@ class ExactCheck:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Optimizer output: canonical (sorted) fractions and their value."""
+    """Optimizer output: canonical (sorted) fractions and their value.
+
+    refinement_steps is always 0: the optimum is closed-form, no search
+    refines it.
+    """
 
     fractions: tuple[float, ...]
     asym_value: float
-    grid_resolution: int
-    refinement_steps: int
+    refinement_steps: int = 0
     exact_check: ExactCheck | None = None
 
 
-def grid_search(m: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> OptResult:
-    """Exhaustive scan of the lattice {0, 1/R, ..., (R-1)/R}^m.
-
-    Only sorted tuples are visited (the objective is permutation
-    invariant); ties go to the lexicographically smallest tuple.
-    """
+def optimize_rotations(m: int) -> OptResult:
+    """The canonical minimizer (2p - 1)/(4m), p = 1..m, of the asymptotic
+    ISL, with its value M^2 - M + 1/6 evaluated by isl_limit."""
     if m < 1:
-        raise ValueError("m must be >= 1")
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
-    if resolution**m > budget:
-        raise ValueError(
-            f"lattice of {resolution}^{m} points exceeds the budget of {budget}"
-        )
-    combos = np.array(
-        list(itertools.combinations_with_replacement(range(resolution), m)),
-        dtype=np.float64,
-    )
-    best_val = np.inf
-    best_row = None
-    chunk = 1_000_000
-    for i0 in range(0, len(combos), chunk):
-        block = combos[i0:i0 + chunk] / resolution
-        vals = isl_limit_batch(block)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_row = block[j]
-    return OptResult(
-        fractions=tuple(best_row),
-        asym_value=best_val,
-        grid_resolution=resolution,
-        refinement_steps=0,
-    )
-
-
-def refine_local(fractions, tol: float, initial_step: float = 1.0 / 64) -> tuple[float, ...]:
-    """Coordinate descent on the asymptotic ISL with step halving.
-
-    Probes each coordinate at +-step (clamped to [0, 1]), sweeps until no
-    move improves, halves the step, and stops once the step drops below
-    tol.  The returned value never exceeds the starting value.
-    """
-    f, _ = _descend(fractions, tol, initial_step)
-    return tuple(f)
-
-
-def _descend(fractions, tol, initial_step):
-    f = np.clip(np.asarray(fractions, dtype=np.float64), 0.0, 1.0)
-    best = isl_limit(f).total
-    moves = 0
-    for _ in range(100):  # full schedule passes; normally 2 suffice
-        moved_in_pass = False
-        step = initial_step
-        while step >= tol:
-            improved = True
-            while improved:
-                improved = False
-                for i in range(len(f)):
-                    for cand in (f[i] + step, f[i] - step):
-                        if not 0.0 <= cand <= 1.0:
-                            continue
-                        old = f[i]
-                        f[i] = cand
-                        val = isl_limit(f).total
-                        if val < best - 1e-15:
-                            best = val
-                            improved = True
-                            moved_in_pass = True
-                            moves += 1
-                        else:
-                            f[i] = old
-            step /= 2.0
-        if not moved_in_pass:
-            break
-    return f, moves
-
-
-def optimize_rotations(m: int, resolution: int | None = None, tol: float = 1e-6,
-                       budget: int = DEFAULT_GRID_BUDGET) -> OptResult:
-    """Grid search then local refinement, canonicalized and deterministic.
-
-    resolution defaults to the largest power of two <= 512 whose full
-    lattice stays inside the point budget for this m.
-    """
-    if resolution is None:
-        resolution = default_resolution(m, budget)
-    coarse = grid_search(m, resolution, budget=budget)
-    refined, moves = _descend(coarse.fractions, tol, 1.0 / resolution)
-    final = tuple(sorted(float(x) for x in refined))
-    return OptResult(
-        fractions=final,
-        asym_value=isl_limit(final).total,
-        grid_resolution=resolution,
-        refinement_steps=moves,
-    )
-
-
-def default_resolution(m: int, budget: int = DEFAULT_GRID_BUDGET) -> int:
-    """Largest power-of-two resolution <= 512 whose full lattice fits the
-    budget."""
-    r = 512
-    while r > 8 and r**m > budget:
-        r //= 2
-    return r
+        raise ValueError(f"m must be >= 1, got {m}")
+    fractions = tuple((2 * p - 1) / (4 * m) for p in range(1, m + 1))
+    return OptResult(fractions=fractions, asym_value=isl_limit(fractions).total)
 
 
 def exact_validate(result: OptResult, n: int) -> OptResult:

@@ -5,6 +5,7 @@ lines and timings.
 """
 
 import functools
+import itertools
 import time
 
 import numpy as np
@@ -137,7 +138,7 @@ def test_criterion_07_cross_convergence():
 
 @criterion(8, 120, "optimized 4-set beats arbitrary rotations at every prime 23..499")
 def test_criterion_08_optimal_crossover():
-    optimal = list(ik.optimize_rotations(4, 64, 1e-6).fractions)
+    optimal = list(ik.optimize_rotations(4).fractions)
     arbitrary = [0.1, 0.2, 0.3, 0.4]
     for n in ik.primes_in_range(23, 499):
         opt_total = ik.isl_report(ik.bind_rotations(optimal, n).sequences()).total
@@ -167,16 +168,16 @@ def test_criterion_09_dilog_identity():
 
 @criterion(10, 60, "optimizer sanity: analytic single-rotation minimum and invariances")
 def test_criterion_10_optimizer_sanity():
-    single = ik.optimize_rotations(1, 256, 1e-6)
+    single = ik.optimize_rotations(1)
     assert abs(single.fractions[0] - 0.25) <= 1e-6
     assert abs(single.asym_value - 1 / 6) <= 1e-6
 
-    pair = ik.optimize_rotations(2, 256, 1e-6)
+    pair = ik.optimize_rotations(2)
     reversed_total = ik.isl_limit(list(pair.fractions)[::-1]).total
     reflected_total = ik.isl_limit([1 - f for f in pair.fractions]).total
     assert abs(reversed_total - pair.asym_value) <= 1e-10
     assert abs(reflected_total - pair.asym_value) <= 1e-10
 
-    values = [ik.grid_search(2, r).asym_value for r in (64, 128, 256)]
-    assert values[1] <= values[0] + 1e-15
-    assert values[2] <= values[1] + 1e-15
+    for r in (64, 128, 256):
+        lattice = np.array(list(itertools.product(range(r + 1), repeat=2))) / r
+        assert pair.asym_value <= ik.isl_limit(lattice).total.min() + 1e-12, r

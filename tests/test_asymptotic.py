@@ -7,23 +7,10 @@ from islkit.asymptotic import (
     auto_energy_limit,
     cross_energy_limit,
     isl_limit,
-    isl_limit_batch,
-    mod1,
     re_dilog_on_circle,
 )
 
 fractions = st.floats(0.0, 1.0)
-
-
-class TestMod1:
-    def test_examples(self):
-        assert mod1(1.25) == 0.25
-        assert mod1(-0.25) == 0.75
-        assert mod1(0) == 0
-
-    @given(st.floats(-1e6, 1e6))
-    def test_range(self, x):
-        assert 0.0 <= mod1(x) < 1.0
 
 
 class TestReDilog:
@@ -51,7 +38,7 @@ class TestReDilog:
         # at theta = 2*pi*f the closed form collapses to
         # pi^2 (1/6 - {f}(1 - {f})), the shape the limit formulas rest on
         for f in (-0.7, 0.0, 0.2, 0.5, 1.0, 1.25, 3.8):
-            g = mod1(f)
+            g = f - np.floor(f)
             want = np.pi**2 * (1 / 6 - g * (1 - g))
             assert re_dilog_on_circle(2 * np.pi * f) == pytest.approx(want, abs=1e-12)
 
@@ -74,6 +61,8 @@ class TestAutoEnergyLimit:
             auto_energy_limit(1.5)
         with pytest.raises(ValueError):
             auto_energy_limit(-0.01)
+        with pytest.raises(ValueError):
+            auto_energy_limit(float("nan"))
 
 
 class TestCrossEnergyLimit:
@@ -134,13 +123,48 @@ class TestIslLimit:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(14)
-        block = rng.uniform(0, 1, size=(40, 3))
-        batch = isl_limit_batch(block)
-        for row, total in zip(block, batch):
-            assert total == pytest.approx(isl_limit(row).total)
+        block = rng.uniform(0, 1, size=(4, 10, 3))
+        batch = isl_limit(block)
+        assert batch.total.shape == (4, 10)
+        for i, j in np.ndindex(4, 10):
+            single = isl_limit(block[i, j])
+            assert (batch.auto_part[i, j], batch.cross_part[i, j]) == (
+                single.auto_part, single.cross_part)
+
+    @given(st.lists(fractions, min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_matches_term_loop(self, fr):
+        # the term-by-term sum, in the order of the exact report
+        auto = sum(auto_energy_limit(f) for f in fr)
+        cross = 0.0
+        for p, fp in enumerate(fr):
+            for q, fq in enumerate(fr):
+                if p != q:
+                    cross += cross_energy_limit(fp, fq)
+        lim = isl_limit(fr)
+        assert (lim.auto_part, lim.cross_part) == (auto, cross)
+
+    def test_fourier_twin(self):
+        # isl_limit = M^2 - M + (4/pi^2) sum_k (sum_p cos 2 pi k (f_p - 1/2))^2 / k^2.
+        # Each term lies in [0, 4 M^2 / (pi^2 k^2)], so cutting the series at
+        # K leaves a tail in [0, 4 M^2 / (pi^2 K)].
+        big_k = 100_000
+        k = np.arange(1, big_k + 1)
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            m = int(rng.integers(1, 9))
+            f = rng.uniform(0, 1, m)
+            c = np.cos(2 * np.pi * np.outer(k, f - 0.5)).sum(axis=1)
+            head = m * m - m + 4 / np.pi**2 * np.sum(c * c / (k * k))
+            tail = 4 * m * m / (np.pi**2 * big_k)
+            assert head - 1e-9 <= isl_limit(f).total <= head + tail + 1e-9, f
 
     def test_errors(self):
         with pytest.raises(ValueError):
             isl_limit([])
         with pytest.raises(ValueError):
             isl_limit([0.2, 1.3])
+        with pytest.raises(ValueError):
+            isl_limit([0.2, float("nan")])
+        with pytest.raises(ValueError):
+            isl_limit([[0.2, 0.3], [0.4, -0.1]])

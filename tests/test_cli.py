@@ -131,8 +131,7 @@ class TestSweep:
 
     def test_optimal_single(self, capsys):
         code, lines, _ = run(
-            capsys, "sweep", "--optimal", "--m", "1", "--n-min", "7", "--n-max", "24",
-            "--resolution", "64",
+            capsys, "sweep", "--optimal", "--m", "1", "--n-min", "7", "--n-max", "24"
         )
         assert code == 0
         asym = float(lines[1].split(",")[2])
@@ -140,13 +139,27 @@ class TestSweep:
 
     def test_optimal_four_set_error_shrinks(self, capsys):
         code, lines, _ = run(
-            capsys, "sweep", "--optimal", "--m", "4", "--n-min", "23", "--n-max", "199",
-            "--resolution", "64",
+            capsys, "sweep", "--optimal", "--m", "4", "--n-min", "23", "--n-max", "199"
         )
         assert code == 0
         rel_first = float(lines[1].split(",")[3])
         rel_last = float(lines[-1].split(",")[3])
         assert rel_last < rel_first
+
+    def test_optimal_twelve_set(self, capsys):
+        code, lines, _ = run(
+            capsys, "sweep", "--optimal", "--m", "12", "--n-min", "23", "--n-max", "29"
+        )
+        assert code == 0
+        assert float(lines[1].split(",")[2]) == pytest.approx(12 * 11 + 1 / 6, rel=1e-11)
+
+    @pytest.mark.parametrize("m", ["0", "-3", str(cli.M_CAP + 1)])
+    def test_optimal_m_out_of_range_exits_one(self, capsys, m):
+        code, _, err = run(
+            capsys, "sweep", "--optimal", "--m", m, "--n-min", "7", "--n-max", "20"
+        )
+        assert code == 1
+        assert "--m must lie in" in err
 
 
 class TestOptimize:
@@ -157,7 +170,7 @@ class TestOptimize:
 
     def test_exact_check_appends(self, capsys):
         code, lines, _ = run(
-            capsys, "optimize", "--m", "1", "--exact-check", "101", "--resolution", "64"
+            capsys, "optimize", "--m", "1", "--exact-check", "101"
         )
         assert code == 0
         assert lines[1].startswith("exact-check N=101")
@@ -170,9 +183,46 @@ class TestOptimize:
         assert rel <= 0.15
 
     def test_deterministic(self, capsys):
-        _, first, _ = run(capsys, "optimize", "--m", "2", "--resolution", "64")
-        _, second, _ = run(capsys, "optimize", "--m", "2", "--resolution", "64")
+        _, first, _ = run(capsys, "optimize", "--m", "2")
+        _, second, _ = run(capsys, "optimize", "--m", "2")
         assert first == second
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_closed_form_line(self, capsys, m):
+        code, lines, _ = run(capsys, "optimize", "--m", str(m))
+        assert code == 0
+        fractions = " ".join(f"{(2 * p - 1) / (4 * m):.6g}" for p in range(1, m + 1))
+        assert lines == [f"{fractions}  {m * m - m + 1 / 6:.6f}"]
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_m_below_one_exits_one(self, capsys, m):
+        code, lines, err = run(capsys, "optimize", "--m", m)
+        assert code == 1
+        assert lines == []
+        assert f"--m must lie in [1, {cli.M_CAP}], got {m}" in err
+
+    def test_m_at_cap(self, capsys):
+        code, lines, _ = run(capsys, "optimize", "--m", str(cli.M_CAP))
+        assert code == 0
+        value = float(lines[0].split()[-1])
+        assert value == pytest.approx(cli.M_CAP**2 - cli.M_CAP + 1 / 6, rel=1e-12)
+
+    def test_m_above_cap_exits_one(self, capsys):
+        code, lines, err = run(capsys, "optimize", "--m", str(cli.M_CAP + 1))
+        assert code == 1
+        assert lines == []
+        assert "--m must lie in" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--m", "2"],
+        ["sweep", "--optimal", "--m", "2", "--n-min", "7", "--n-max", "7"],
+    ])
+    @pytest.mark.parametrize("flag", ["--resolution", "--tol"])
+    def test_search_flags_removed(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, flag, "64"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestValidate:

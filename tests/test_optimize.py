@@ -2,108 +2,108 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islkit.asymptotic import isl_limit
-from islkit.optimize import (
-    default_resolution,
-    exact_validate,
-    grid_search,
-    optimize_rotations,
-    refine_local,
-)
+from islkit.optimize import exact_validate, optimize_rotations
+
+
+def optimum(m):
+    return m * m - m + 1 / 6
+
+
+def lattice_min(m, r):
+    """Brute-force minimum of the asymptotic ISL over {0, 1/r, ..., 1}^m."""
+    grid = np.array(list(itertools.product(range(r + 1), repeat=m))) / r
+    return float(isl_limit(grid).total.min())
 
 
 class TestGridSearch:
+    """The brute-force lattice scan is the twin of the closed form."""
+
     def test_single_rotation(self):
-        res = grid_search(1, 256)
-        assert res.fractions == (0.25,)  # lexicographic winner of {1/4, 3/4}
-        assert res.asym_value == pytest.approx(1 / 6)
+        assert lattice_min(1, 256) == pytest.approx(1 / 6, abs=1e-12)
+        assert optimize_rotations(1).asym_value == pytest.approx(1 / 6, abs=1e-12)
 
     def test_beats_every_lattice_point_independent_rescan(self):
-        r = 32
-        res = grid_search(2, r)
-        rescan = min(
-            isl_limit([i / r, j / r]).total
-            for i, j in itertools.product(range(r), repeat=2)
-        )
-        assert res.asym_value == pytest.approx(rescan)
+        for m, r in itertools.product((1, 2, 3), (12, 64)):
+            closed = optimize_rotations(m).asym_value
+            scanned = lattice_min(m, r)
+            if r % (4 * m) == 0:
+                # the lattice holds (2p - 1)/(4m)
+                assert scanned == pytest.approx(closed, abs=1e-12), (m, r)
+            else:
+                assert scanned >= closed - 1e-12, (m, r)
 
     def test_resolution_monotonicity(self):
-        values = [grid_search(2, r).asym_value for r in (64, 128, 256)]
+        values = [lattice_min(2, r) for r in (64, 128, 256)]
         assert values[1] <= values[0] + 1e-15
         assert values[2] <= values[1] + 1e-15
-
-    def test_budget_guard(self):
-        with pytest.raises(ValueError):
-            grid_search(6, 64)
-        with pytest.raises(ValueError):
-            grid_search(1, 7)
-        with pytest.raises(ValueError):
-            grid_search(0, 64)
-
-    def test_default_resolution_respects_budget(self):
-        for m in (1, 2, 3, 4, 5):
-            r = default_resolution(m)
-            assert r**m <= 10**8
-            assert r >= 8
-
-    def test_optimize_defaults_stay_within_budget(self):
-        # the default grid must shrink with m instead of tripping the guard
-        res = optimize_rotations(4)
-        assert res.grid_resolution == default_resolution(4)
-        assert res.asym_value == pytest.approx(73 / 6)
-
-
-class TestRefineLocal:
-    def test_stays_at_minimum(self):
-        out = refine_local([0.25], 1e-6)
-        assert out[0] == pytest.approx(0.25, abs=1e-6)
-
-    def test_converges_from_offset_start(self):
-        out = refine_local([0.3], 1e-6)
-        assert out[0] == pytest.approx(0.25, abs=1e-6)
-        assert isl_limit(out).total == pytest.approx(1 / 6, abs=1e-6)
-
-    def test_never_increases_objective(self):
-        rng = np.random.default_rng(21)
-        for _ in range(1000):
-            m = int(rng.integers(1, 4))
-            start = rng.uniform(0, 1, m)
-            before = isl_limit(start).total
-            after = isl_limit(refine_local(start, 1e-4)).total
-            assert after <= before + 1e-12
+        assert optimize_rotations(2).asym_value <= values[2] + 1e-12
 
 
 class TestOptimizeRotations:
     def test_single_rotation(self):
-        res = optimize_rotations(1, 256, 1e-6)
-        assert res.fractions[0] == pytest.approx(0.25, abs=1e-6)
-        assert res.asym_value == pytest.approx(1 / 6, abs=1e-6)
+        res = optimize_rotations(1)
+        assert res.fractions == (0.25,)
+        assert res.asym_value == pytest.approx(1 / 6, abs=1e-12)
+        assert res.refinement_steps == 0
+
+    def test_closed_form(self):
+        for m in range(1, 13):
+            res = optimize_rotations(m)
+            assert res.fractions == tuple((2 * p - 1) / (4 * m) for p in range(1, m + 1))
+            assert res.asym_value == pytest.approx(optimum(m), rel=1e-13)
+
+    def test_rejects_m_below_one(self):
+        for m in (0, -3):
+            with pytest.raises(ValueError):
+                optimize_rotations(m)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_lower_bound(self, fr):
+        assert isl_limit(fr).total >= optimum(len(fr)) - 1e-12
+
+    def test_reflection_ties_pick_the_smallest(self):
+        # f_p -> 1 - f_p leaves the value unchanged, so all 2^M reflections
+        # of the optimum tie; the returned sorted tuple is the least of them
+        for m in range(1, 9):
+            res = optimize_rotations(m)
+            f = np.array(res.fractions)
+            flips = np.array(list(itertools.product([False, True], repeat=m)))
+            tied = np.sort(np.where(flips, 1.0 - f, f), axis=1)
+            assert np.allclose(isl_limit(tied).total, res.asym_value, rtol=0, atol=1e-12)
+            assert min(map(tuple, tied.tolist())) == res.fractions
 
     def test_stored_value_reproducible(self):
-        res = optimize_rotations(2, 128, 1e-6)
+        res = optimize_rotations(2)
         assert isl_limit(res.fractions).total == pytest.approx(res.asym_value, abs=1e-12)
 
     def test_canonical_sorted(self):
-        res = optimize_rotations(3, 64, 1e-5)
+        res = optimize_rotations(3)
         assert list(res.fractions) == sorted(res.fractions)
 
     def test_pair_beats_coincident_rotations(self):
-        res = optimize_rotations(2, 256, 1e-6)
+        res = optimize_rotations(2)
         assert res.asym_value < isl_limit([0.25, 0.25]).total
 
     def test_fixed_point_of_refinement(self):
-        res = optimize_rotations(2, 128, 1e-6)
-        again = refine_local(res.fractions, 1e-6, initial_step=1.0 / 128)
-        assert isl_limit(again).total == pytest.approx(res.asym_value, abs=1e-10)
+        # no single-coordinate move of a coordinate-descent probe improves it
+        for m in range(1, 9):
+            res = optimize_rotations(m)
+            for i in range(m):
+                for step in (1 / 128, -1 / 128, 1e-6, -1e-6):
+                    f = list(res.fractions)
+                    f[i] += step
+                    assert isl_limit(f).total >= res.asym_value - 1e-12
 
     def test_deterministic(self):
-        a = optimize_rotations(2, 64, 1e-6)
-        b = optimize_rotations(2, 64, 1e-6)
-        assert a == b
+        assert optimize_rotations(5) == optimize_rotations(5)
 
     def test_objective_invariances_at_optimum(self):
-        res = optimize_rotations(2, 256, 1e-6)
+        res = optimize_rotations(2)
         f = list(res.fractions)
         assert isl_limit(f[::-1]).total == pytest.approx(res.asym_value, abs=1e-10)
         assert isl_limit([1 - x for x in f]).total == pytest.approx(
@@ -113,7 +113,7 @@ class TestOptimizeRotations:
 
 class TestExactValidate:
     def test_single_rotation_near_limit(self):
-        res = optimize_rotations(1, 256, 1e-6)
+        res = optimize_rotations(1)
         checked = exact_validate(res, 101)
         chk = checked.exact_check
         assert chk.n == 101
@@ -123,7 +123,7 @@ class TestExactValidate:
         assert abs(chk.normalized - res.asym_value) <= 0.15 * res.asym_value
 
     def test_error_shrinks_with_n(self):
-        res = optimize_rotations(2, 128, 1e-6)
+        res = optimize_rotations(2)
         small = exact_validate(res, 101).exact_check
         large = exact_validate(res, 997).exact_check
         err_small = abs(small.normalized - res.asym_value)
@@ -131,6 +131,6 @@ class TestExactValidate:
         assert err_large < err_small
 
     def test_rejects_nonprime(self):
-        res = optimize_rotations(1, 64, 1e-4)
+        res = optimize_rotations(1)
         with pytest.raises(ValueError):
             exact_validate(res, 100)
