@@ -8,6 +8,7 @@ All data output is CSV with a header row; floats are printed with up to
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -15,14 +16,18 @@ import numpy as np
 
 from . import selfcheck
 from .asymptotic import isl_limit
-from .correlation import isl_report
+from .correlation import MAX_EXACT_N, RoundingResidualError, isl_report
 from .optimize import exact_validate, optimize_rotations
 from .sequences import bind_rotations, is_prime, primes_in_range
 from .spectral import auto_sidelobe_energy_spectral, cross_energy_spectral
 
-# Exact ISL is O(M^2 N^2); lengths past this need an explicit override.
-DIRECT_N_CAP = 20_000
+# Exact ISL is O(M^2 N log N) by FFT; isl with 4 rotations at n = 999983
+# takes ~1.7 s and peaks near 160 MB.  Longer lengths need --allow-large.
+DIRECT_N_CAP = 1_000_000
 SPECTRAL_CHECK_MAX_N = 199
+# surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
+# peaks near 340 MB, and the cost grows with R^2.
+SURFACE_RESOLUTION_CAP = 1000
 # optimize evaluates its M-set with M x M arrays; --m 1000 peaks near 60 MB.
 M_CAP = 1000
 
@@ -53,6 +58,8 @@ def parse_fraction(token: str) -> float:
         value = float(Fraction(token)) if "/" in token else float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid fraction {token!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"invalid fraction {token!r}: not a finite number")
     return value
 
 
@@ -72,6 +79,9 @@ def _require_prime(n: int) -> int:
 
 
 def _check_cap(n: int, allow_large: bool) -> None:
+    # checked before any sequence is built, so a huge n never allocates
+    if n > MAX_EXACT_N:
+        raise UsageError(f"n={n} exceeds {MAX_EXACT_N}, beyond which ISL energies overflow int64")
     if n > DIRECT_N_CAP and not allow_large:
         raise UsageError(
             f"n={n} exceeds the direct-computation cap {DIRECT_N_CAP}; "
@@ -87,8 +97,11 @@ def _check_m(m: int) -> int:
 
 def _emit(lines, output_path):
     if output_path:
-        with open(output_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(output_path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {output_path!r}: {exc.strerror or exc}") from None
     else:
         print("\n".join(lines))
 
@@ -128,13 +141,14 @@ def cmd_isl(args) -> int:
     report = isl_report(seqs)
     if n <= SPECTRAL_CHECK_MAX_N:
         _isl_spectral_crosscheck(report, seqs)
-    auto_part = float(report.auto_terms.sum())
-    cross_part = float(report.cross_terms.sum())
+    # Python ints: exact at any n, and the same digits as fmt below 10^12
+    auto_part = sum(report.auto_terms.tolist())
+    cross_part = sum(report.cross_terms.ravel().tolist())
     lines = [
         "N,M,total,normalized,auto_part,cross_part",
         ",".join(
-            [str(n), str(report.m), fmt(report.total), fmt(report.normalized),
-             fmt(auto_part), fmt(cross_part)]
+            [str(n), str(report.m), str(report.total), fmt(report.normalized),
+             str(auto_part), str(cross_part)]
         ),
     ]
     _emit(lines, args.output)
@@ -155,8 +169,8 @@ def cmd_asym(args) -> int:
 
 def cmd_surface(args) -> int:
     r = args.resolution
-    if r < 2:
-        raise UsageError("resolution must be >= 2")
+    if not 2 <= r <= SURFACE_RESOLUTION_CAP:
+        raise UsageError(f"--resolution must lie in [2, {SURFACE_RESOLUTION_CAP}], got {r}")
     axis = np.arange(r + 1) / r
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     rows = np.column_stack([grid, isl_limit(grid).total])
@@ -300,7 +314,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValidationFailure as exc:
+    except (ValidationFailure, RoundingResidualError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,7 @@ class ExactCheck:
     n: int
     offsets: tuple[int, ...]
     realized_fractions: tuple[float, ...]
-    total: float
+    total: int
     normalized: float
 
 

@@ -97,7 +97,7 @@ def rotate_left(seq: np.ndarray, t: int) -> np.ndarray:
 def check_antipodal(seq) -> np.ndarray:
     """Validate a +-1 sequence and return it as an int64 array."""
     arr = np.asarray(seq)
-    values = arr.astype(np.int64)
+    values = arr.astype(np.int64, copy=False)
     if len(values) == 0:
         raise ValueError("sequence must be nonempty")
     if np.any(values != arr) or not np.all(np.abs(values) == 1):

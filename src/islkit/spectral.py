@@ -3,9 +3,12 @@
 For odd length n, the sum of squared cross-correlations of two real
 sequences equals (S_plus + S_minus) / (2n), where S_plus and S_minus are
 the sums over the n-th roots of unity (resp. their negatives) of
-|Q_a(z) Q_b*(z)|^2.  S_minus additionally admits a closed-form expansion
-through partial-fraction kernel sums over quadruples of root indices,
-implemented here with a direct-evaluation twin for every closed form.
+|Q_a(z) Q_b*(z)|^2.  The n-th roots and their negatives are together the
+2n-th roots of unity, so both sums come from one length-2n FFT per
+sequence (numpy.fft, loaded on first use).  S_minus additionally admits
+a closed-form expansion through partial-fraction kernel sums over
+quadruples of root indices, implemented here with a direct-evaluation
+twin for every closed form.
 """
 
 from __future__ import annotations
@@ -17,11 +20,6 @@ import numpy as np
 
 from .sequences import is_prime
 
-# Full phase matrices are cached up to this size; larger evaluations
-# stream in row chunks to bound memory.
-_CACHE_MAX_N = 512
-_CHUNK_ROWS = 128
-
 
 @lru_cache(maxsize=32)
 def roots_of_unity(n: int) -> np.ndarray:
@@ -29,15 +27,6 @@ def roots_of_unity(n: int) -> np.ndarray:
     r = np.exp(2j * np.pi * np.arange(n) / n)
     r.flags.writeable = False
     return r
-
-
-@lru_cache(maxsize=8)
-def _phase_matrix(n: int) -> np.ndarray:
-    # E[j, k] = exp(2 pi i j k / n), phases exact via index reduction mod n
-    r = roots_of_unity(n)
-    e = r[np.outer(np.arange(n), np.arange(n)) % n]
-    e.flags.writeable = False
-    return e
 
 
 def _require_odd(n: int) -> None:
@@ -65,28 +54,29 @@ def gf_eval(seq, z: complex) -> complex:
 def gf_at_roots(seq) -> np.ndarray:
     """Generating-function values at all n-th roots of unity.
 
-    Powers are taken from the precomputed root table via index reduction
-    mod n, so no phase error accumulates with n.
+    Q(eps_j) = sum_k a_k exp(2 pi i j k / n) is n times the inverse DFT
+    of the sequence, taken with numpy.fft in O(n log n).
     """
     a = np.asarray(seq, dtype=np.float64)
-    n = len(a)
-    if n <= _CACHE_MAX_N:
-        return _phase_matrix(n) @ a
-    r = roots_of_unity(n)
-    k = np.arange(n)
-    out = np.empty(n, dtype=np.complex128)
-    for j0 in range(0, n, _CHUNK_ROWS):
-        jj = np.arange(j0, min(j0 + _CHUNK_ROWS, n))
-        out[jj] = r[(jj[:, None] * k[None, :]) % n] @ a
-    return out
+    return len(a) * np.fft.ifft(a)
+
+
+def _gf_at_double_roots(a: np.ndarray) -> np.ndarray:
+    # the 2n-th roots are the roots of unity of the zero-padded sequence:
+    # bin 2j holds eps_j, bin (2j + n) mod 2n holds -eps_j
+    return gf_at_roots(np.concatenate([a, np.zeros_like(a)]))
 
 
 def gf_at_negated_roots(seq) -> np.ndarray:
-    """Generating-function values at -eps_j: evaluate the sign-alternated
-    sequence at the roots themselves (a_k (-1)^k eps_j^k)."""
+    """Generating-function values at -eps_j, j = 0..n-1.
+
+    -eps_j = exp(2 pi i (2j + n) / 2n) is the 2n-th root at bin
+    (2j + n) mod 2n of the length-2n transform; for odd n these are the
+    odd bins, visited in that order.
+    """
     a = np.asarray(seq, dtype=np.float64)
-    signs = 1.0 - 2.0 * (np.arange(len(a)) % 2)
-    return gf_at_roots(a * signs)
+    n = len(a)
+    return _gf_at_double_roots(a)[(2 * np.arange(n) + n) % (2 * n)]
 
 
 @dataclass(frozen=True)
@@ -159,9 +149,15 @@ def interpolate_negated_root(at_roots, j: int) -> complex:
 
 def cross_energy_spectral(a, b) -> float:
     """Sum of squared cross-correlations over all lags, via the two
-    circle power sums: (S_plus + S_minus) / (2n)."""
+    circle power sums: (S_plus + S_minus) / (2n).
+
+    S_plus and S_minus are the even and the odd bins of one sum over the
+    2n-th roots of unity, so each sequence takes one length-2n FFT.
+    """
     a, b, n = _as_pair(a, b)
-    return (power_sum_at_roots(a, b) + power_sum_at_negated_roots(a, b)) / (2 * n)
+    qa = _gf_at_double_roots(a)
+    qb = _gf_at_double_roots(b)
+    return float(np.sum((qa * qa.conj()).real * (qb * qb.conj()).real)) / (2 * n)
 
 
 def auto_sidelobe_energy_spectral(a) -> float:

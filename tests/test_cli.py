@@ -63,9 +63,45 @@ class TestIsl:
         assert "cross-check" in err
 
     def test_cap_requires_override_flag(self, capsys):
-        code, _, err = run(capsys, "isl", "--n", "20011", "--fractions", "0")
+        # 1000003 is the first prime above DIRECT_N_CAP
+        assert cli.DIRECT_N_CAP < 1000003
+        code, _, err = run(capsys, "isl", "--n", "1000003", "--fractions", "0")
         assert code == 1
         assert "--allow-large" in err
+
+    def test_int64_bound_exits_one_before_building(self, capsys):
+        # 2400001 is the first prime above MAX_EXACT_N; the check runs
+        # before any length-n array exists, so even n ~ 1e9 exits at once
+        for n in ("2400001", "1000000007"):
+            code, lines, err = run(capsys, "isl", "--n", n, "--fractions", "0", "--allow-large")
+            assert code == 1
+            assert lines == []
+            assert "overflow int64" in err
+
+    def test_large_n_prints_exact_integers(self, capsys):
+        code, lines, _ = run(capsys, "isl", "--n", "300007",
+                             "--fractions", "0.1", "0.3", "0.55", "0.9")
+        assert code == 0
+        _, _, total, _, auto_part, cross_part = lines[1].split(",")
+        assert total.isdigit() and auto_part.isdigit() and cross_part.isdigit()
+        assert int(total) > 10**12
+        assert int(total) == int(auto_part) + int(cross_part)
+
+    def test_integer_fields_match_fmt_below_1e12(self, capsys):
+        code, lines, _ = run(capsys, "isl", "--n", "19997", "--fractions", "0.1", "0.7")
+        assert code == 0
+        _, _, total, _, auto_part, cross_part = lines[1].split(",")
+        for field in (total, auto_part, cross_part):
+            assert field == cli.fmt(float(field))
+
+    def test_rounding_residual_exits_two(self, capsys, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+        code, lines, err = run(capsys, "isl", "--n", "211", "--fractions", "0", "0.5")
+        assert code == 2
+        assert lines == []
+        assert "validation failure" in err and "from an integer" in err
+        assert "Traceback" not in err
 
 
 class TestAsym:
@@ -79,6 +115,13 @@ class TestAsym:
 
 
 class TestSurface:
+    @pytest.mark.parametrize("r", ["1", "1001", "100000000"])
+    def test_resolution_out_of_range_exits_one(self, capsys, r):
+        code, lines, err = run(capsys, "surface", "--resolution", r)
+        assert code == 1
+        assert lines == []
+        assert f"--resolution must lie in [2, {cli.SURFACE_RESOLUTION_CAP}], got {r}" in err
+
     def test_grid_contents(self, capsys):
         code, lines, _ = run(capsys, "surface", "--resolution", "2")
         assert code == 0
@@ -270,6 +313,26 @@ class TestPlumbing:
         code, _, err = run(capsys, "isl", "--n", "7", "--fractions", "abc")
         assert code == 1
         assert "invalid fraction" in err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "+inf", "1e400", "NaN"])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "7", "--fraction"],
+        ["isl", "--n", "7", "--fractions", "0.25"],
+        ["asym", "--fractions", "0.25"],
+    ])
+    def test_non_finite_fraction_exits_one(self, capsys, argv, token):
+        code, lines, err = run(capsys, *argv, token)
+        assert code == 1
+        assert lines == []
+        assert f"invalid fraction {token!r}: not a finite number" in err
+
+    def test_unwritable_output_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, lines, err = run(capsys, "asym", "--fractions", "0.25", "--output", str(path))
+        assert code == 1
+        assert lines == []
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

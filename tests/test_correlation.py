@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islkit.correlation import (
+    MAX_EXACT_N,
+    MAX_ROUNDING_RESIDUAL,
+    RoundingResidualError,
+    _smooth_length,
     aperiodic_correlation,
     auto_sidelobe_energy,
     cross_energy,
@@ -25,6 +31,12 @@ def xcorr_loop(a, b):
 
 def random_pair(rng, n):
     return rng.choice([-1, 1], n), rng.choice([-1, 1], n)
+
+
+def correlate_energy(a, b):
+    """Sum of squared aperiodic correlations from numpy's direct correlate."""
+    v = np.correlate(np.asarray(b, dtype=np.int64), np.asarray(a, dtype=np.int64), mode="full")
+    return int(v @ v)
 
 
 class TestAperiodicCorrelation:
@@ -139,6 +151,77 @@ class TestIslReport:
             isl_report([[1, 1], [1, 1, -1]])
         with pytest.raises(ValueError):
             isl_report([[1, 0, -1]])
+
+
+class TestFftIslReport:
+    @given(
+        n=st.integers(1, 257),
+        all_ones=st.lists(st.booleans(), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_correlate_oracle(self, n, all_ones, seed):
+        rng = np.random.default_rng(seed)
+        seqs = [np.ones(n, dtype=np.int64) if ones else rng.choice([-1, 1], n)
+                for ones in all_ones]
+        m = len(seqs)
+        rep = isl_report(seqs)
+        auto = [correlate_energy(s, s) - n * n for s in seqs]
+        cross = [[correlate_energy(seqs[p], seqs[q]) if p != q else 0 for q in range(m)]
+                 for p in range(m)]
+        assert rep.auto_terms.dtype == np.int64 and rep.cross_terms.dtype == np.int64
+        assert rep.auto_terms.tolist() == auto
+        assert rep.cross_terms.tolist() == cross
+        assert type(rep.total) is int
+        assert rep.total == sum(auto) + sum(map(sum, cross))
+        assert rep.normalized == rep.total / n**2
+
+    def test_total_exact_beyond_float_precision(self):
+        # all-ones pair: every energy is n^2 + (n-1) n (2n-1) / 3, and the
+        # total 72004860109600826 is not a float64 value
+        n = 300007
+        energy = n * n + (n - 1) * n * (2 * n - 1) // 3
+        rep = isl_report([np.ones(n, dtype=np.int64)] * 2)
+        assert rep.total == 4 * energy - 2 * n * n == 72004860109600826
+        assert int(float(rep.total)) != rep.total
+        assert rep.auto_terms.tolist() == [energy - n * n] * 2
+        assert rep.cross_terms[0, 1] == energy
+
+    @pytest.mark.parametrize("offset", [0.3, -0.3])
+    def test_rounding_residual_guard_raises(self, monkeypatch, offset):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + offset)
+        with pytest.raises(RoundingResidualError, match="from an integer"):
+            isl_report([legendre_sequence(31)] * 2)
+
+    def test_residual_below_limit_still_rounds(self, monkeypatch):
+        seqs = [legendre_sequence(31), np.ones(31, dtype=np.int64)]
+        expected = isl_report(seqs)
+        irfft = np.fft.irfft
+        offset = MAX_ROUNDING_RESIDUAL - 0.05
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + offset)
+        rep = isl_report(seqs)
+        assert rep.total == expected.total
+        assert np.array_equal(rep.cross_terms, expected.cross_terms)
+
+    def test_smooth_length(self):
+        def smooth(k):
+            for f in (2, 3, 5):
+                while k % f == 0:
+                    k //= f
+            return k == 1
+
+        for k in range(1, 3000):
+            length = _smooth_length(k)
+            assert length >= k and smooth(length)
+            assert not any(smooth(j) for j in range(k, length))
+
+    def test_int64_bound(self):
+        # a pair's energy is at most n (2n^2 + 1) / 3, which must fit int64
+        n = MAX_EXACT_N
+        assert n * (2 * n * n + 1) // 3 < 2**63
+        with pytest.raises(ValueError, match="overflow int64"):
+            isl_report([np.ones(MAX_EXACT_N + 1, dtype=np.int64)])
 
 
 class TestPeriodicAutocorrelation:

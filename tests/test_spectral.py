@@ -58,7 +58,8 @@ class TestGfAtRoots:
                 assert vals[j] == pytest.approx(gf_eval(seq, eps[j]), abs=1e-10)
 
     def test_chunked_path_matches(self):
-        # lengths above the cached-matrix cap stream through chunks
+        # a large prime length, which numpy.fft evaluates by Bluestein's
+        # algorithm rather than by a mixed-radix transform
         rng = np.random.default_rng(2)
         n = 601
         seq = rng.choice([-1, 1], n)
@@ -68,13 +69,15 @@ class TestGfAtRoots:
             assert vals[j] == pytest.approx(gf_eval(seq, eps[j]), abs=1e-8)
 
     def test_negated_roots(self):
+        # bin (2j + n) mod 2n of the length-2n transform holds -eps_j: the
+        # odd bins, but not in ascending order
         rng = np.random.default_rng(3)
-        n = 9
-        seq = rng.choice([-1, 1], n)
-        vals = gf_at_negated_roots(seq)
-        eps = roots_of_unity(n)
-        for j in range(n):
-            assert vals[j] == pytest.approx(gf_eval(seq, -eps[j]), abs=1e-10)
+        for n in (9, 601):
+            seq = rng.choice([-1, 1], n)
+            vals = gf_at_negated_roots(seq)
+            eps = roots_of_unity(n)
+            for j in range(n):
+                assert vals[j] == pytest.approx(gf_eval(seq, -eps[j]), abs=1e-10)
 
     @given(st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
@@ -255,6 +258,22 @@ class TestCrossEnergySpectral:
         a = rng.choice([-1, 1], 11)
         expected = auto_sidelobe_energy(a) + 121
         assert cross_energy_spectral(a, a) == pytest.approx(expected, rel=1e-12)
+
+    def test_splits_into_root_and_negated_root_sums(self):
+        # the 2n-bin sum is S_plus (even bins) plus S_minus (odd bins)
+        rng = np.random.default_rng(11)
+        for n in (3, 9, 101):
+            a = rng.choice([-1, 1], n)
+            b = rng.choice([-1, 1], n)
+            halves = (power_sum_at_roots(a, b) + power_sum_at_negated_roots(a, b)) / (2 * n)
+            assert cross_energy_spectral(a, b) == pytest.approx(halves, rel=1e-12)
+
+    def test_large_n_matches_direct(self):
+        n = 4999
+        ell = legendre_sequence(n)
+        a, b = rotate_left(ell, 500), rotate_left(ell, 1751)
+        direct = cross_energy(a, b)
+        assert abs(cross_energy_spectral(a, b) - direct) <= 1e-9 * direct
 
 
 class TestAutoSidelobeEnergySpectral:
