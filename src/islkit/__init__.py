@@ -13,7 +13,6 @@ from .asymptotic import (
     re_dilog_on_circle,
 )
 from .correlation import (
-    CorrelationProfile,
     IslReport,
     aperiodic_correlation,
     auto_sidelobe_energy,
@@ -38,17 +37,13 @@ from .sequences import (
     rotate_left,
 )
 from .spectral import (
-    KernelIndices,
     PatternSums,
-    SpectralEvaluation,
     auto_sidelobe_energy_spectral,
     cross_energy_spectral,
     gf_at_negated_roots,
     gf_at_roots,
     gf_eval,
     interpolate_negated_root,
-    kernel_sum_closed_form,
-    kernel_sum_direct,
     legendre_gf_closed_form,
     pattern_decomposition,
     power_sum_at_negated_roots,
@@ -60,14 +55,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticIsl",
-    "CorrelationProfile",
     "ExactCheck",
     "IslReport",
-    "KernelIndices",
     "OptResult",
     "PatternSums",
     "RotationSet",
-    "SpectralEvaluation",
     "aperiodic_correlation",
     "auto_energy_limit",
     "auto_sidelobe_energy",
@@ -84,8 +76,6 @@ __all__ = [
     "is_prime",
     "isl_limit",
     "isl_report",
-    "kernel_sum_closed_form",
-    "kernel_sum_direct",
     "legendre_gf_closed_form",
     "legendre_sequence",
     "legendre_symbol",

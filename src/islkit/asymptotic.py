@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sequences import check_fractions
+
 
 def re_dilog_on_circle(theta: float) -> float:
     """Real part of the dilogarithm series sum_k z^k / k^2 at z = e^(i*theta).
@@ -16,14 +18,6 @@ def re_dilog_on_circle(theta: float) -> float:
     """
     t = float(np.mod(theta, 2 * np.pi))
     return np.pi**2 / 6.0 - 0.25 * t * (2 * np.pi - t)
-
-
-def _check_fractions(f) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    bad = ~((f >= 0.0) & (f <= 1.0))  # also true for NaN
-    if bad.any():
-        raise ValueError(f"rotation fraction must lie in [0, 1], got {f[bad][0]}")
-    return f
 
 
 def _auto(f: np.ndarray) -> np.ndarray:
@@ -42,7 +36,7 @@ def auto_energy_limit(f: float) -> float:
 
     2/3 - 4|f - 1/2| + 8 (f - 1/2)^2; minimum 1/6 at f = 1/4 or 3/4.
     """
-    return float(_auto(_check_fractions(f)))
+    return float(_auto(check_fractions(f)))
 
 
 def cross_energy_limit(fa: float, fb: float) -> float:
@@ -51,7 +45,7 @@ def cross_energy_limit(fa: float, fb: float) -> float:
     2/3 + 2 (|fa + fb - 1| - 1/2)^2 + 2 (|fa - fb| - 1/2)^2, symmetric in
     (fa, fb); minimum 2/3.
     """
-    return float(_cross(_check_fractions(fa), _check_fractions(fb)))
+    return float(_cross(check_fractions(fa), check_fractions(fb)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ def isl_limit(fractions) -> AsymptoticIsl:
     float parts and a tuple of fractions; a batch gives arrays over its
     leading axes.
     """
-    f = _check_fractions(fractions)
+    f = check_fractions(fractions)
     if f.ndim == 0 or f.shape[-1] == 0:
         raise ValueError("rotation set is empty")
     pair = _cross(f[..., :, None], f[..., None, :])

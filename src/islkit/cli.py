@@ -56,6 +56,8 @@ def parse_fraction(token: str) -> float:
     """Rotation fraction from a decimal or a p/q rational literal."""
     try:
         value = float(Fraction(token)) if "/" in token else float(token)
+    except OverflowError:  # a rational too large for a float
+        value = math.inf
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid fraction {token!r}: {exc}") from None
     if not math.isfinite(value):
@@ -108,6 +110,9 @@ def _emit(lines, output_path):
 
 def cmd_gen(args) -> int:
     n = _require_prime(args.n)
+    # the same bound as isl, checked before the length-n sequence exists
+    if n > MAX_EXACT_N:
+        raise UsageError(f"n={n} exceeds {MAX_EXACT_N}, the longest sequence islkit builds")
     rset = bind_rotations([parse_fraction(args.fraction)], n)
     seq = rset.sequences()[0]
     _emit([" ".join(str(int(v)) for v in seq)], args.output)
@@ -198,10 +203,10 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"no odd primes in [{args.n_min}, {args.n_max}]")
     _check_cap(primes[-1], args.allow_large)
 
-    asym = isl_limit([f % 1.0 for f in fractions]).total
+    asym = isl_limit(fractions).total
     lines = ["N,exact_normalized,asymptotic,relative_error"]
     for n in primes:
-        rset = bind_rotations([f % 1.0 for f in fractions], n)
+        rset = bind_rotations(fractions, n)
         exact = isl_report(rset.sequences()).normalized
         rel = abs(exact - asym) / abs(asym)
         lines.append(",".join([str(n), fmt(exact), fmt(asym), fmt(rel)]))

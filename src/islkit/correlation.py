@@ -20,28 +20,6 @@ import numpy as np
 from .sequences import check_antipodal
 
 
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Aperiodic correlation values over lags -n+1 .. n-1 (2n-1 entries)."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return (len(self.values) + 1) // 2
-
-    def at(self, k: int) -> float:
-        """Value at lag k; 0 outside the defined lag range."""
-        i = k + self.n - 1
-        if i < 0 or i >= len(self.values):
-            return 0.0
-        return float(self.values[i])
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(-self.n + 1, self.n)
-
-
 # Largest distance from its integer at which an FFT correlation value
 # still counts as rounding noise: antipodal inputs give integer values.
 MAX_ROUNDING_RESIDUAL = 0.25
@@ -73,8 +51,9 @@ class IslReport:
     m: int
 
 
-def aperiodic_correlation(a, b) -> CorrelationProfile:
-    """Aperiodic cross-correlation X(k) = sum_j a_j * b_{j+k}, k = -n+1 .. n-1."""
+def aperiodic_correlation(a, b) -> np.ndarray:
+    """Aperiodic cross-correlation X(k) = sum_j a_j * b_{j+k} over lags
+    k = -n+1 .. n-1; lag k sits at index k + n - 1 of the 2n-1 values."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) != len(b):
@@ -83,22 +62,20 @@ def aperiodic_correlation(a, b) -> CorrelationProfile:
     if np.array_equal(a, np.round(a)) and np.array_equal(b, np.round(b)):
         if not np.array_equal(values, np.round(values)):
             raise AssertionError("correlation of integer sequences must be integral")
-    return CorrelationProfile(values=values)
+    return values
 
 
 def auto_sidelobe_energy(a) -> float:
     """Sum of squared autocorrelations over all nonzero lags."""
     a = check_antipodal(a)
-    prof = aperiodic_correlation(a, a)
-    v = prof.values
-    center = prof.n - 1
-    return float(v @ v - v[center] ** 2)
+    v = aperiodic_correlation(a, a)
+    return float(v @ v - v[len(a) - 1] ** 2)
 
 
 def cross_energy(a, b) -> float:
     """Sum of squared cross-correlations over all lags, lag 0 included."""
-    prof = aperiodic_correlation(a, b)
-    return float(prof.values @ prof.values)
+    v = aperiodic_correlation(a, b)
+    return float(v @ v)
 
 
 def _smooth_length(k: int) -> int:
@@ -178,7 +155,6 @@ def periodic_autocorrelation(a) -> np.ndarray:
     out[k-1] = X(k) + X(k-n), which equals sum_j a_j * a_{(j+k) mod n}.
     """
     a = np.asarray(a, dtype=np.float64)
-    prof = aperiodic_correlation(a, a).values
+    v = aperiodic_correlation(a, a)
     n = len(a)
-    # lag k sits at index k + n - 1
-    return prof[n:] + prof[:n - 1]
+    return v[n:] + v[:n - 1]

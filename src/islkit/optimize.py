@@ -72,7 +72,7 @@ def optimize_rotations(m: int) -> OptResult:
 
 def exact_validate(result: OptResult, n: int) -> OptResult:
     """Realize the rotations at prime length n and attach the exact ISL."""
-    rset = bind_rotations([f % 1.0 for f in result.fractions], n)
+    rset = bind_rotations(result.fractions, n)
     report = isl_report(rset.sequences())
     check = ExactCheck(
         n=n,

@@ -142,13 +142,12 @@ def check_lagrange_interpolation(max_n: int, rng) -> CheckResult:
     for n in range(3, max_n + 1, 2):
         seq = rng.normal(size=n)
         at_roots = spectral.gf_at_roots(seq)
-        eps = spectral.roots_of_unity(n)
-        for j in range(n):
-            direct = spectral.gf_eval(seq, -eps[j])
-            interp = spectral.interpolate_negated_root(at_roots, j)
-            err = abs(direct - interp)
-            if err > worst:
-                worst, where = err, f"n={n} j={j}"
+        direct = spectral.gf_eval(seq, -spectral.roots_of_unity(n))
+        interp = np.array([spectral.interpolate_negated_root(at_roots, j) for j in range(n)])
+        err = np.abs(direct - interp)
+        j = int(np.argmax(err))
+        if err[j] > worst:
+            worst, where = float(err[j]), f"n={n} j={j}"
     return _result("lagrange-interpolation", worst, 1e-8, where)
 
 

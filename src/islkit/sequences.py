@@ -110,36 +110,39 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def check_fractions(fractions) -> np.ndarray:
+    """Rotation fractions as a float64 array, each checked to lie in
+    [0, 1]; NaN is rejected.  f = 1 is a full turn and binds to offset 0."""
+    f = np.asarray(fractions, dtype=np.float64)
+    bad = ~((f >= 0.0) & (f <= 1.0))  # also true for NaN
+    if bad.any():
+        raise ValueError(f"rotation fraction must lie in [0, 1], got {f[bad][0]}")
+    return f
+
+
 @dataclass(frozen=True)
 class RotationSet:
-    """M rotation fractions in [0,1) with integer offsets for a bound length.
+    """M rotation offsets bound to an odd prime length n.
 
-    fractions are re-derived as t/n once bound so the exact and asymptotic
-    paths see identical rotation values.
+    fractions are re-derived as t/n so the exact and asymptotic paths
+    see identical rotation values.
     """
 
     fractions: tuple[float, ...]
-    offsets: tuple[int, ...] | None = None
-    n: int | None = None
-
-    @property
-    def m(self) -> int:
-        return len(self.fractions)
+    offsets: tuple[int, ...]
+    n: int
 
     def sequences(self) -> list[np.ndarray]:
-        """The rotated Legendre sequences this set denotes (bound sets only)."""
-        if self.n is None or self.offsets is None:
-            raise ValueError("rotation set is not bound to a length")
+        """The rotated Legendre sequences this set denotes."""
         base = legendre_sequence(self.n)
         return [rotate_left(base, t) for t in self.offsets]
 
 
 def bind_rotations(fractions, n: int) -> RotationSet:
-    """Resolve rotation fractions to integer offsets for a given odd prime n."""
+    """Resolve rotation fractions in [0, 1] to integer offsets for a
+    given odd prime n."""
     _require_odd_prime(n)
-    fr = [float(f) for f in fractions]
-    if any(f < 0.0 or f >= 1.0 for f in fr):
-        raise ValueError("rotation fractions must lie in [0, 1)")
+    fr = check_fractions(fractions).tolist()
     offsets = tuple(round_half_up(f * n) % n for f in fr)
     return RotationSet(
         fractions=tuple(t / n for t in offsets),

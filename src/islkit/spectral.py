@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sequences import is_prime
+from .sequences import _require_odd_prime
 
 
 @lru_cache(maxsize=32)
@@ -43,12 +43,11 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:
     return a, b, len(a)
 
 
-def gf_eval(seq, z: complex) -> complex:
-    """Generating-function value sum_j a_j z^j by Horner's rule."""
-    acc = 0j
-    for c in reversed(np.asarray(seq)):
-        acc = acc * z + c
-    return acc
+def gf_eval(seq, z):
+    """Generating-function value sum_j a_j z^j by Horner's rule, at a
+    scalar z or elementwise over an array of points; the direct twin of
+    the FFT and interpolation routes."""
+    return np.polyval(np.asarray(seq)[::-1], z)
 
 
 def gf_at_roots(seq) -> np.ndarray:
@@ -79,26 +78,6 @@ def gf_at_negated_roots(seq) -> np.ndarray:
     return _gf_at_double_roots(a)[(2 * np.arange(n) + n) % (2 * n)]
 
 
-@dataclass(frozen=True)
-class SpectralEvaluation:
-    """Generating-function values of one sequence at the n-th roots of
-    unity and at their negatives."""
-
-    n: int
-    at_roots: np.ndarray
-    at_negated_roots: np.ndarray
-
-    @classmethod
-    def from_sequence(cls, seq) -> "SpectralEvaluation":
-        seq = np.asarray(seq, dtype=np.float64)
-        _require_odd(len(seq))
-        return cls(
-            n=len(seq),
-            at_roots=gf_at_roots(seq),
-            at_negated_roots=gf_at_negated_roots(seq),
-        )
-
-
 def legendre_gf_closed_form(n: int, j: int, ell_j: int) -> complex:
     """Closed-form generating-function value of the Legendre sequence at
     the j-th root of unity (quadratic Gauss sum plus the fixed 0th term).
@@ -106,8 +85,7 @@ def legendre_gf_closed_form(n: int, j: int, ell_j: int) -> complex:
     The sqrt(n) offset is real for n = 1 (mod 4) and imaginary for
     n = 3 (mod 4).
     """
-    if n == 2 or not is_prime(n):
-        raise ValueError(f"n must be an odd prime, got {n}")
+    _require_odd_prime(n)
     j %= n
     if j == 0:
         return 1.0 + 0.0j
@@ -116,21 +94,22 @@ def legendre_gf_closed_form(n: int, j: int, ell_j: int) -> complex:
     return 1.0 + 1j * ell_j * np.sqrt(n)
 
 
+def _power_product_sum(qa: np.ndarray, qb: np.ndarray) -> float:
+    """sum_j |qa_j|^2 |qb_j|^2."""
+    return float(np.sum((qa * qa.conj()).real * (qb * qb.conj()).real))
+
+
 def power_sum_at_roots(a, b) -> float:
     """sum_j |Q_a(eps_j) Q_b*(eps_j)|^2 over the n-th roots of unity."""
     a, b, _ = _as_pair(a, b)
-    qa = gf_at_roots(a)
-    qb = gf_at_roots(b)
-    return float(np.sum((qa * qa.conj()).real * (qb * qb.conj()).real))
+    return _power_product_sum(gf_at_roots(a), gf_at_roots(b))
 
 
 def power_sum_at_negated_roots(a, b) -> float:
     """sum_j |Q_a(-eps_j) Q_b*(-eps_j)|^2, evaluated directly at the
     negated roots (the twin of the pattern-sum reconstruction)."""
     a, b, _ = _as_pair(a, b)
-    qa = gf_at_negated_roots(a)
-    qb = gf_at_negated_roots(b)
-    return float(np.sum((qa * qa.conj()).real * (qb * qb.conj()).real))
+    return _power_product_sum(gf_at_negated_roots(a), gf_at_negated_roots(b))
 
 
 def interpolate_negated_root(at_roots, j: int) -> complex:
@@ -155,9 +134,7 @@ def cross_energy_spectral(a, b) -> float:
     2n-th roots of unity, so each sequence takes one length-2n FFT.
     """
     a, b, n = _as_pair(a, b)
-    qa = _gf_at_double_roots(a)
-    qb = _gf_at_double_roots(b)
-    return float(np.sum((qa * qa.conj()).real * (qb * qb.conj()).real)) / (2 * n)
+    return _power_product_sum(_gf_at_double_roots(a), _gf_at_double_roots(b)) / (2 * n)
 
 
 def auto_sidelobe_energy_spectral(a) -> float:
@@ -168,45 +145,10 @@ def auto_sidelobe_energy_spectral(a) -> float:
     return cross_energy_spectral(a, a) - float(n) ** 2
 
 
-@dataclass(frozen=True)
-class KernelIndices:
-    """Quadruple of root indices (reduced mod n) for the kernel sum
-    sum_j eps_j^2 / prod_i (eps_j + eps_{idx_i})."""
-
-    k1: int
-    l1: int
-    k2: int
-    l2: int
-    n: int
-
-    def __post_init__(self):
-        _require_odd(self.n)
-        for name in ("k1", "l1", "k2", "l2"):
-            object.__setattr__(self, name, getattr(self, name) % self.n)
-
-    @property
-    def indices(self) -> tuple[int, int, int, int]:
-        return (self.k1, self.l1, self.k2, self.l2)
-
-
-def kernel_sum_direct(idx: KernelIndices) -> complex:
-    """Literal n-term kernel sum; verification twin of the closed form."""
-    return complex(kernel_sums_direct(np.array([idx.indices]), idx.n)[0])
-
-
-def kernel_sum_closed_form(idx: KernelIndices) -> complex:
-    """Closed-form kernel sum, dispatched on the coincidence pattern of
-    the four indices.
-
-    The summand is symmetric in the four indices, so only the multiset
-    matters: all equal, three equal, two pairs, one pair plus two
-    distinct, or all distinct (which sums to zero).
-    """
-    return complex(kernel_sums_closed_form(np.array([idx.indices]), idx.n)[0])
-
-
 def kernel_sums_direct(quads, n: int) -> np.ndarray:
-    """Vectorized kernel_sum_direct over an array of index quadruples."""
+    """Kernel sums sum_j eps_j^2 / prod_i (eps_j + eps_{q_i}) over an
+    array of index quadruples q (reduced mod n), each by its literal
+    n-term sum; verification twin of kernel_sums_closed_form."""
     _require_odd(n)
     quads = np.asarray(quads, dtype=np.int64) % n
     eps = roots_of_unity(n)
@@ -222,7 +164,13 @@ def kernel_sums_direct(quads, n: int) -> np.ndarray:
 
 
 def kernel_sums_closed_form(quads, n: int) -> np.ndarray:
-    """Vectorized kernel_sum_closed_form over an array of index quadruples."""
+    """Closed-form kernel sums over an array of index quadruples,
+    dispatched on the coincidence pattern of each quadruple.
+
+    The summand is symmetric in the four indices, so only the multiset
+    matters: all equal, three equal, two pairs, one pair plus two
+    distinct, or all distinct (which sums to zero).
+    """
     _require_odd(n)
     quads = np.asarray(quads, dtype=np.int64) % n
     eps = roots_of_unity(n)

@@ -1,5 +1,12 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import islkit.cli as cli
 import islkit.spectral
@@ -30,6 +37,21 @@ class TestGen:
         assert code == 1
         assert "odd prime" in err
 
+    def test_full_turn_is_identity(self, capsys):
+        _, identity, _ = run(capsys, "gen", "--n", "13", "--fraction", "0")
+        code, lines, _ = run(capsys, "gen", "--n", "13", "--fraction", "1")
+        assert code == 0
+        assert lines == identity
+
+    @pytest.mark.parametrize("n", ["2400001", "1000000007"])
+    def test_length_bound_exits_one_before_building(self, capsys, n):
+        # both are primes above MAX_EXACT_N; the second would need ~8 GB
+        code, lines, err = run(capsys, "gen", "--n", n)
+        assert code == 1
+        assert lines == []
+        assert f"exceeds {cli.MAX_EXACT_N}" in err
+        assert "Traceback" not in err
+
 
 class TestIsl:
     def test_header_and_single_sequence(self, capsys):
@@ -55,6 +77,12 @@ class TestIsl:
         code_b, lines_b, _ = run(capsys, "isl", "--n", "13", "--fractions", "0.25", "0.5")
         assert code_a == code_b == 0
         assert lines_a == lines_b
+
+    def test_full_turn_prints_what_zero_prints(self, capsys):
+        _, zero, _ = run(capsys, "isl", "--n", "101", "--fractions", "0", "0.3")
+        code, one, _ = run(capsys, "isl", "--n", "101", "--fractions", "1", "0.3")
+        assert code == 0
+        assert one == zero
 
     def test_spectral_crosscheck_mismatch_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "cross_energy_spectral", lambda a, b: 0.0)
@@ -160,6 +188,21 @@ class TestSweep:
             assert float(rel) == pytest.approx(
                 abs(float(exact) - float(asym)) / float(asym), rel=1e-9
             )
+
+    def test_full_turn_sweeps_like_zero(self, capsys):
+        _, zero, _ = run(capsys, "sweep", "--fractions", "0", "--n-min", "7", "--n-max", "60")
+        code, one, _ = run(capsys, "sweep", "--fractions", "1", "--n-min", "7", "--n-max", "60")
+        assert code == 0
+        assert one == zero
+
+    @pytest.mark.parametrize("token", ["1.5", "-0.25"])
+    def test_fraction_outside_unit_interval_exits_one(self, capsys, token):
+        code, lines, err = run(
+            capsys, "sweep", "--fractions", token, "--n-min", "7", "--n-max", "30"
+        )
+        assert code == 1
+        assert lines == []
+        assert "must lie in [0, 1]" in err
 
     def test_empty_prime_range_exits_one(self, capsys):
         code, _, err = run(
@@ -314,7 +357,10 @@ class TestPlumbing:
         assert code == 1
         assert "invalid fraction" in err
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "+inf", "1e400", "NaN"])
+    @pytest.mark.parametrize("token", [
+        "nan", "inf", "+inf", "1e400", "NaN",
+        pytest.param("1" + "0" * 400 + "/1", id="rational-too-large-for-a-float"),
+    ])
     @pytest.mark.parametrize("argv", [
         ["gen", "--n", "7", "--fraction"],
         ["isl", "--n", "7", "--fractions", "0.25"],
@@ -348,3 +394,76 @@ class TestPlumbing:
         assert lines == []
         content = path.read_text().splitlines()
         assert content[0] == "M,total,auto_part,cross_part"
+
+
+# Flags each command takes, with a strategy for the tokens that follow.
+# Sizes stay small (n <= 60 or far past every bound) so an example runs
+# in milliseconds; validate at --max-n 7 is the slowest at ~0.2 s.
+def _one(values):
+    return values.map(lambda v: [str(v)])
+
+
+_INTS = st.integers(-5, 60)
+_HUGE = st.sampled_from([2400001, 1000000007, 10**30])
+_FRACTION = st.one_of(
+    st.sampled_from(["0", "1", "0.25", "1/4", "2/7,3/7", "-0.1", "1.5", "nan", "inf",
+                     "abc", "1/0", "", ",", "1e400", "1" + "0" * 400 + "/1", "0.9999999999999"]),
+    st.floats(-0.5, 1.5).map(repr),
+)
+_VALUES = {
+    "--n": _one(st.one_of(_INTS, _HUGE)),
+    "--exact-check": _one(st.one_of(_INTS, _HUGE)),
+    "--fraction": _one(_FRACTION),
+    "--fractions": st.lists(_FRACTION, min_size=0, max_size=4),
+    "--resolution": _one(st.one_of(st.integers(-2, 12), st.just(100000000))),
+    "--m": _one(st.one_of(st.integers(-2, 6), st.just(cli.M_CAP + 1))),
+    "--n-min": _one(_INTS),
+    "--n-max": _one(_INTS),
+    "--max-n": _one(st.integers(-1, 7)),
+    "--seed": _one(st.integers(-2, 5)),
+    "--output": _one(st.sampled_from(["@out", "@missing"])),
+    "--allow-large": st.just([]),
+    "--optimal": st.just([]),
+    "--bogus": st.just(["1"]),
+}
+_FLAGS = {
+    "gen": ["--n", "--fraction", "--output"],
+    "isl": ["--n", "--fractions", "--allow-large", "--output"],
+    "asym": ["--fractions", "--output"],
+    "surface": ["--resolution", "--output"],
+    "sweep": ["--m", "--fractions", "--optimal", "--n-min", "--n-max", "--allow-large",
+              "--output"],
+    "optimize": ["--m", "--exact-check", "--allow-large", "--output"],
+    "validate": ["--max-n", "--seed", "--output"],
+    "bogus": [],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    pool = _FLAGS[command] + ["--bogus"]
+    argv = [command]
+    if command == "validate":
+        # the default --max-n 61 takes ~1 s
+        argv += ["--max-n", *draw(_VALUES["--max-n"])]
+    for flag in draw(st.lists(st.sampled_from(pool), max_size=6)):
+        argv += [flag, *draw(_VALUES[flag])]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=100, deadline=None)
+def test_random_argv_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"@out": os.path.join(tmp, "out.csv"),
+                 "@missing": os.path.join(tmp, "missing", "out.csv")}
+        argv = [paths.get(token, token) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

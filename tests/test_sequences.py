@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from islkit.asymptotic import isl_limit
 from islkit.sequences import (
     bind_rotations,
     is_prime,
@@ -165,10 +166,14 @@ class TestBindRotations:
         assert all(0 <= t < 13 for t in rs.offsets)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            bind_rotations([1.0], 7)
-        with pytest.raises(ValueError):
-            bind_rotations([-0.1], 7)
+        for f in (1.0 + 1e-12, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                bind_rotations([f], 7)
+
+    def test_full_turn_binds_to_offset_zero(self):
+        for f in (1.0, 1.0 - 1e-12):
+            rs = bind_rotations([f], 7)
+            assert rs.offsets == (0,) and rs.fractions == (0.0,)
 
     def test_rejects_nonprime_length(self):
         with pytest.raises(ValueError):
@@ -179,3 +184,19 @@ class TestBindRotations:
         a, b = rs.sequences()
         assert a.tolist() == legendre_sequence(7).tolist()
         assert b.tolist() == rotate_left(legendre_sequence(7), 2).tolist()
+
+
+@pytest.mark.parametrize("f, ok", [
+    (0.0, True), (1.0, True), (1.0 - 1e-12, True),
+    (-1e-12, False), (1.0 + 1e-12, False), (float("nan"), False),
+])
+def test_one_fraction_domain(f, ok):
+    # the exact and the asymptotic path share one domain, [0, 1]
+    outcomes = []
+    for call in (lambda: bind_rotations([f], 7), lambda: isl_limit([f])):
+        try:
+            call()
+            outcomes.append(True)
+        except ValueError:
+            outcomes.append(False)
+    assert outcomes == [ok, ok]

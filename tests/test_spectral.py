@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 from islkit.correlation import auto_sidelobe_energy, cross_energy
 from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 from islkit.spectral import (
-    KernelIndices,
-    SpectralEvaluation,
     auto_sidelobe_energy_spectral,
     cross_energy_spectral,
     gf_at_negated_roots,
     gf_at_roots,
     gf_eval,
     interpolate_negated_root,
-    kernel_sum_closed_form,
-    kernel_sum_direct,
     kernel_sums_closed_form,
     kernel_sums_direct,
     legendre_gf_closed_form,
@@ -45,6 +41,22 @@ class TestGfEval:
         seq = rng.normal(size=9)
         for z in (0.5 + 0.2j, -1.5, 1j):
             assert gf_eval(seq, z) == pytest.approx(np.polyval(seq[::-1], z))
+
+    def test_matches_term_by_term_sum(self):
+        rng = np.random.default_rng(18)
+        for n in (1, 8, 33, 199):
+            seq = rng.normal(size=n)
+            for z in (0.5 + 0.2j, -1.5, 1j, -roots_of_unity(n)[n // 3]):
+                want = sum(c * z**k for k, c in enumerate(seq.tolist()))
+                assert abs(gf_eval(seq, z) - want) <= 1e-12 * max(1.0, abs(z)) ** n * n
+
+    def test_array_points_match_scalar_points(self):
+        rng = np.random.default_rng(17)
+        seq = rng.normal(size=11)
+        z = -roots_of_unity(11)
+        vals = gf_eval(seq, z)
+        assert vals.shape == (11,)
+        assert vals.tolist() == [gf_eval(seq, zj) for zj in z]
 
 
 class TestGfAtRoots:
@@ -92,15 +104,6 @@ class TestGfAtRoots:
             seq = rng.normal(size=n)
             total = np.sum(np.abs(gf_at_roots(seq)) ** 2)
             assert total == pytest.approx(n * np.sum(seq**2))
-
-    def test_spectral_evaluation_bundle(self):
-        seq = legendre_sequence(11)
-        ev = SpectralEvaluation.from_sequence(seq)
-        assert ev.n == 11
-        assert np.allclose(ev.at_roots, gf_at_roots(seq))
-        assert np.allclose(ev.at_negated_roots, gf_at_negated_roots(seq))
-        with pytest.raises(ValueError):
-            SpectralEvaluation.from_sequence([1, -1])
 
 
 class TestLegendreGfClosedForm:
@@ -313,58 +316,54 @@ def quad_for_pattern(rng, n, pattern):
     return tuple(out)
 
 
+PATTERNS = ["all_equal", "three_equal", "two_pairs", "one_pair", "all_distinct"]
+
+
 class TestKernelSums:
     def test_all_equal_small_case(self):
-        idx = KernelIndices(0, 0, 0, 0, 3)
         want = (81 / 3 + 2 * 9 / 3) / 16  # = 2.0625
-        assert kernel_sum_closed_form(idx) == pytest.approx(want)
-        assert kernel_sum_direct(idx) == pytest.approx(want)
+        assert kernel_sums_closed_form([(0, 0, 0, 0)], 3)[0] == pytest.approx(want)
+        assert kernel_sums_direct([(0, 0, 0, 0)], 3)[0] == pytest.approx(want)
 
     def test_all_distinct_is_zero(self):
-        idx = KernelIndices(0, 1, 2, 3, 7)
-        assert kernel_sum_closed_form(idx) == 0
-        assert abs(kernel_sum_direct(idx)) < 1e-10
+        assert kernel_sums_closed_form([(0, 1, 2, 3)], 7)[0] == 0
+        assert abs(kernel_sums_direct([(0, 1, 2, 3)], 7)[0]) < 1e-10
 
     def test_two_pairs_example(self):
         eps = roots_of_unity(5)
-        idx = KernelIndices(0, 0, 1, 1, 5)
         want = -0.5 * 25 / (eps[0] - eps[1]) ** 2
-        assert kernel_sum_closed_form(idx) == pytest.approx(want)
-        assert kernel_sum_direct(idx) == pytest.approx(want)
+        assert kernel_sums_closed_form([(0, 0, 1, 1)], 5)[0] == pytest.approx(want)
+        assert kernel_sums_direct([(0, 0, 1, 1)], 5)[0] == pytest.approx(want)
 
-    @pytest.mark.parametrize(
-        "pattern", ["all_equal", "three_equal", "two_pairs", "one_pair", "all_distinct"]
-    )
+    @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("n", [5, 7, 11, 25, 101])
     def test_twins_agree_per_pattern(self, pattern, n):
-        rng = np.random.default_rng(hash((pattern, n)) % 2**32)
-        for _ in range(20):
-            quad = quad_for_pattern(rng, n, pattern)
-            idx = KernelIndices(*quad, n)
-            d = kernel_sum_direct(idx)
-            c = kernel_sum_closed_form(idx)
-            assert abs(c - d) <= 1e-8 * (1 + abs(d)), (pattern, n, quad)
+        rng = np.random.default_rng([PATTERNS.index(pattern), n])
+        quads = np.array([quad_for_pattern(rng, n, pattern) for _ in range(20)])
+        d = kernel_sums_direct(quads, n)
+        c = kernel_sums_closed_form(quads, n)
+        bad = np.abs(c - d) > 1e-8 * (1 + np.abs(d))
+        assert not bad.any(), (pattern, n, quads[bad])
 
     def test_batch_matches_scalar(self):
+        # a batch gives each quadruple the value it gets on its own
         rng = np.random.default_rng(11)
         n = 13
         quads = rng.integers(0, n, size=(50, 4))
-        batch_d = kernel_sums_direct(quads, n)
-        batch_c = kernel_sums_closed_form(quads, n)
-        for i, quad in enumerate(quads):
-            idx = KernelIndices(*(int(v) for v in quad), n)
-            assert batch_d[i] == pytest.approx(kernel_sum_direct(idx))
-            assert batch_c[i] == pytest.approx(kernel_sum_closed_form(idx))
+        for fn in (kernel_sums_direct, kernel_sums_closed_form):
+            batch = fn(quads, n)
+            assert batch.tolist() == [fn(quad[None], n)[0] for quad in quads]
 
     def test_indices_reduced_mod_n(self):
-        idx = KernelIndices(7, -1, 12, 5, 5)
-        assert idx.indices == (2, 4, 2, 0)
+        raw, reduced = [(7, -1, 12, 5)], [(2, 4, 2, 0)]
+        for fn in (kernel_sums_direct, kernel_sums_closed_form):
+            assert fn(raw, 5)[0] == fn(reduced, 5)[0]
 
     def test_even_length_rejected(self):
-        with pytest.raises(ValueError):
-            KernelIndices(0, 0, 0, 0, 4)
-        with pytest.raises(ValueError):
-            kernel_sums_direct(np.zeros((1, 4), dtype=int), 6)
+        for fn in (kernel_sums_direct, kernel_sums_closed_form):
+            for n in (4, 6):
+                with pytest.raises(ValueError):
+                    fn(np.zeros((1, 4), dtype=int), n)
 
 
 class TestPatternDecomposition:
