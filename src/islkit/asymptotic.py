@@ -10,13 +10,14 @@ import numpy as np
 from .sequences import check_fractions
 
 
-def re_dilog_on_circle(theta: float) -> float:
-    """Real part of the dilogarithm series sum_k z^k / k^2 at z = e^(i*theta).
+def re_dilog_on_circle(theta):
+    """Real part of the dilogarithm series sum_k z^k / k^2 at z = e^(i*theta),
+    at a scalar angle or elementwise over an array of angles.
 
     Piecewise-quadratic closed form pi^2/6 - |t|(2*pi - |t|)/4 with t the
     angle reduced to [0, 2*pi); periodic in theta.
     """
-    t = float(np.mod(theta, 2 * np.pi))
+    t = np.mod(theta, 2 * np.pi)
     return np.pi**2 / 6.0 - 0.25 * t * (2 * np.pi - t)
 
 

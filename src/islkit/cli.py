@@ -29,6 +29,7 @@ SPECTRAL_CHECK_MAX_N = 199
 # peaks near 340 MB, and the cost grows with R^2.
 SURFACE_RESOLUTION_CAP = 1000
 # optimize evaluates its M-set with M x M arrays; --m 1000 peaks near 60 MB.
+# It also bounds every --fractions list (isl, sweep, asym).
 M_CAP = 1000
 
 
@@ -41,6 +42,10 @@ class ValidationFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: --m must not stand in for --max-n
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # usage problems must exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -66,12 +71,13 @@ def parse_fraction(token: str) -> float:
 
 
 def parse_fraction_list(tokens) -> list[float]:
-    out = []
-    for token in tokens:
-        out.extend(parse_fraction(t) for t in token.split(",") if t)
-    if not out:
+    """Fractions from space- or comma-separated tokens, at most M_CAP."""
+    tokens = [t for token in tokens for t in token.split(",") if t]
+    if not tokens:
         raise UsageError("at least one fraction is required")
-    return out
+    if len(tokens) > M_CAP:
+        raise UsageError(f"at most {M_CAP} fractions are allowed, got {len(tokens)}")
+    return [parse_fraction(t) for t in tokens]
 
 
 def _require_prime(n: int) -> int:

@@ -7,8 +7,8 @@ the sums over the n-th roots of unity (resp. their negatives) of
 2n-th roots of unity, so both sums come from one length-2n FFT per
 sequence (numpy.fft, loaded on first use).  S_minus additionally admits
 a closed-form expansion through partial-fraction kernel sums over
-quadruples of root indices, implemented here with a direct-evaluation
-twin for every closed form.
+quadruples of root indices, which collapses to O(n^2) sums; every
+closed form here has a direct-evaluation twin.
 """
 
 from __future__ import annotations
@@ -78,20 +78,18 @@ def gf_at_negated_roots(seq) -> np.ndarray:
     return _gf_at_double_roots(a)[(2 * np.arange(n) + n) % (2 * n)]
 
 
-def legendre_gf_closed_form(n: int, j: int, ell_j: int) -> complex:
+def legendre_gf_closed_form(n: int, j, ell_j):
     """Closed-form generating-function value of the Legendre sequence at
-    the j-th root of unity (quadratic Gauss sum plus the fixed 0th term).
+    the j-th root of unity (quadratic Gauss sum plus the fixed 0th term),
+    for a scalar j or elementwise over an array of j with matching ell_j.
 
     The sqrt(n) offset is real for n = 1 (mod 4) and imaginary for
     n = 3 (mod 4).
     """
     _require_odd_prime(n)
-    j %= n
-    if j == 0:
-        return 1.0 + 0.0j
-    if n % 4 == 1:
-        return complex(1.0 + ell_j * np.sqrt(n))
-    return 1.0 + 1j * ell_j * np.sqrt(n)
+    offset = np.sqrt(n) if n % 4 == 1 else 1j * np.sqrt(n)
+    values = np.where(np.asarray(j) % n == 0, 1.0 + 0.0j, 1.0 + np.asarray(ell_j) * offset)
+    return values[()]
 
 
 def _power_product_sum(qa: np.ndarray, qb: np.ndarray) -> float:
@@ -112,9 +110,10 @@ def power_sum_at_negated_roots(a, b) -> float:
     return _power_product_sum(gf_at_negated_roots(a), gf_at_negated_roots(b))
 
 
-def interpolate_negated_root(at_roots, j: int) -> complex:
+def interpolate_negated_root(at_roots, j):
     """Reconstruct the polynomial value at -eps_j from its values at the
-    n-th roots of unity (n odd).
+    n-th roots of unity (n odd), for a scalar j or elementwise over an
+    array of j (O(n) memory per j).
 
     Lagrange interpolation on the roots of unity collapses to the weights
     (2/n) eps_k / (eps_j + eps_k).
@@ -123,7 +122,10 @@ def interpolate_negated_root(at_roots, j: int) -> complex:
     n = len(at_roots)
     _require_odd(n)
     eps = roots_of_unity(n)
-    return complex((2.0 / n) * np.sum(eps / (eps[j % n] + eps) * at_roots))
+    weights = eps / np.add.outer(eps[np.asarray(j) % n], eps)
+    # a row sum, not a matrix product: each j sums in the same order
+    # whether it comes alone or in an array
+    return (2.0 / n) * np.sum(weights * at_roots, axis=-1)
 
 
 def cross_energy_spectral(a, b) -> float:
@@ -235,18 +237,23 @@ class PatternSums:
         return 16.0 / self.n**4 * self.total
 
 
-def pattern_decomposition(a, b, max_n: int = 61) -> PatternSums:
+def _inverse_differences(eps: np.ndarray) -> np.ndarray:
+    """g[p, q] = 1 / (eps_q - eps_p) off the diagonal, 0 on it."""
+    diff = eps[None, :] - eps[:, None]
+    np.fill_diagonal(diff, 1.0)
+    g = 1.0 / diff
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
+def pattern_decomposition(a, b) -> PatternSums:
     """Closed-form decomposition of the negated-roots power sum.
 
     The quadruple index sum collapses, pattern by pattern, to one O(n)
-    term, two O(n^2) double sums and one O(n^3) triple sum.  The triple
-    sum exists as a verification path only and is gated by max_n.
+    term and three O(n^2) sums; the one-pair triple sum factors through
+    the matrix of inverse root differences.  Time and memory are O(n^2).
     """
     a, b, n = _as_pair(a, b)
-    if n > max_n:
-        raise ValueError(
-            f"triple-sum decomposition is O(n^3) and capped at n <= {max_n}; got {n}"
-        )
     eps = np.asarray(roots_of_unity(n))
     qa = gf_at_roots(a)
     qb = gf_at_roots(b)
@@ -257,29 +264,28 @@ def pattern_decomposition(a, b, max_n: int = 61) -> PatternSums:
 
     all_equal = (n**4 / 3.0 + 2.0 * n**2 / 3.0) / 16.0 * complex(np.sum(aa * bb))
 
-    off = ~np.eye(n, dtype=bool)
-    diff = eps[None, :] - eps[:, None]  # diff[p, q] = eps_q - eps_p
-    safe = np.where(off, diff, 1.0)
+    g2 = _inverse_differences(eps) ** 2  # 1 / (eps_q - eps_p)^2, 0 at p = q
 
-    # three equal (p) against a single (q): four bracket terms, each an
-    # outer product over (p, q)
-    fac3 = np.where(off, (eps[None, :] + eps[:, None]) / (eps[:, None] * safe**2), 0.0)
-    br3 = (
-        np.outer(eps**2 * aa * qb, qbc)
-        + np.outer(eps * aa * qbc, eps * qb)
-        + np.outer(eps**2 * qa * bb, qac)
-        + np.outer(eps * qac * bb, eps * qa)
-    )
-    three_equal = (n**2 / 8.0) * complex(np.sum(fac3 * br3))
+    # each double sum is a sum of bilinear forms u^T F v over (p, q)
+    def bilinear(fac, pairs):
+        u, v = (np.array(side) for side in zip(*pairs))
+        return complex(np.sum(u * (v @ fac.T)))
+
+    # three equal (p) against a single (q): four bracket terms
+    fac3 = (eps[None, :] + eps[:, None]) / eps[:, None] * g2
+    three_equal = (n**2 / 8.0) * bilinear(fac3, (
+        (eps**2 * aa * qb, qbc),
+        (eps * aa * qbc, eps * qb),
+        (eps**2 * qa * bb, qac),
+        (eps * qac * bb, eps * qa),
+    ))
 
     # two distinct pairs (p, q): three bracket terms
-    fac2 = np.where(off, -1.0 / safe**2, 0.0)
-    br2 = (
-        np.outer(eps * aa, eps * bb)
-        + np.outer(eps**2 * qa * qb, qac * qbc)
-        + np.outer(eps * qa * qbc, eps * qac * qb)
-    )
-    two_pairs = (n**2 / 2.0) * complex(np.sum(fac2 * br2))
+    two_pairs = (n**2 / 2.0) * bilinear(-g2, (
+        (eps * aa, eps * bb),
+        (eps**2 * qa * qb, qac * qbc),
+        (eps * qa * qbc, eps * qac * qb),
+    ))
 
     one_pair = (n**2 / 8.0) * _one_pair_triple_sum(eps, qa, qb)
 
@@ -294,27 +300,20 @@ def pattern_decomposition(a, b, max_n: int = 61) -> PatternSums:
 
 def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> complex:
     """Triple sum over distinct (p, q, r) of the one-pair bracket times
-    -1 / ((eps_q - eps_p)(eps_r - eps_p)).
+    -1 / ((eps_q - eps_p)(eps_r - eps_p)), in O(n^2).
 
     The twelve bracket terms enumerate the placements of the doubled
     index p and the singles q, r over the four kernel slots; each ordered
     (q, r) visit covers every placement twice, absorbed by the caller's
     1/8 prefactor (against 1/4 for the double sums).
+
+    With g[p, q] = 1 / (eps_q - eps_p) (0 at q = p) the kernel is
+    -g[p, q] g[p, r], so a separable term x_p y_q z_r sums to
+    -sum_p x_p ((g y)_p (g z)_p - ((g o g)(y o z))_p): the product of the
+    two single sums over q != p and r != p, less its q = r diagonal.
     """
-    n = len(eps)
     qac, qbc = qa.conj(), qb.conj()
     aa, bb = (qa * qac).real, (qb * qbc).real
-
-    idx = np.arange(n)
-    distinct = (
-        (idx[:, None, None] != idx[None, :, None])
-        & (idx[:, None, None] != idx[None, None, :])
-        & (idx[None, :, None] != idx[None, None, :])
-    )
-    diff = eps[None, :] - eps[:, None]  # diff[p, q] = eps_q - eps_p
-    safe = np.where(diff == 0, 1.0, diff)
-    denom = safe[:, :, None] * safe[:, None, :]
-    kernel = np.where(distinct, -1.0 / denom, 0.0)
 
     # separable bracket terms: X depends on p, Y on q, Z on r
     terms = (
@@ -331,7 +330,7 @@ def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> com
         (eps * qac * qb, eps * qa, qbc),
         (eps * qac * qb, qbc, eps * qa),
     )
-    bracket = np.zeros((n, n, n), dtype=np.complex128)
-    for x, y, z in terms:
-        bracket += x[:, None, None] * y[None, :, None] * z[None, None, :]
-    return complex(np.sum(kernel * bracket))
+    x, y, z = (np.array(side) for side in zip(*terms))
+    g = _inverse_differences(eps)
+    gy, gz, gyz = y @ g.T, z @ g.T, (y * z) @ (g * g).T
+    return complex(-np.sum(x * (gy * gz - gyz)))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import islkit.cli as cli
+import islkit.selfcheck
 import islkit.spectral
 from islkit.correlation import auto_sidelobe_energy
 from islkit.sequences import legendre_sequence, rotate_left
@@ -332,6 +333,26 @@ class TestValidate:
         fail_lines = [l for l in lines if l.startswith("FAIL")]
         assert len(fail_lines) == 1 and "kernel-twin" in fail_lines[0]
 
+    def test_shifted_dilog_is_named(self, capsys, monkeypatch):
+        # an error of 1e-6 passed the 1e-4 tolerance the series once needed
+        true_fn = islkit.selfcheck.re_dilog_on_circle
+        monkeypatch.setattr(islkit.selfcheck, "re_dilog_on_circle",
+                            lambda theta: true_fn(theta) + 1e-6)
+        code, lines, err = run(capsys, "validate", "--max-n", "7")
+        assert code == 2
+        assert "dilog-series" in err
+        fail_lines = [l for l in lines if l.startswith("FAIL")]
+        assert len(fail_lines) == 1 and "dilog-series" in fail_lines[0]
+
+    @pytest.mark.parametrize("max_n", ["13", "61"])
+    def test_eight_checks_in_order(self, capsys, max_n):
+        code, lines, _ = run(capsys, "validate", "--max-n", max_n)
+        assert code == 0
+        assert [l.split()[:2] for l in lines] == [["ok", name] for name in (
+            "spectral-vs-direct", "kernel-twin", "gauss-sum-closed-form",
+            "gauss-sum-magnitude", "periodic-bound", "dilog-series",
+            "lagrange-interpolation", "pattern-decomposition")]
+
     def test_max_n_floor(self, capsys):
         code, _, err = run(capsys, "validate", "--max-n", "5")
         assert code == 1
@@ -385,6 +406,40 @@ class TestPlumbing:
             cli.main(["isl"])  # missing required arguments
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--m", "1001"],  # once ran as --max-n 1001
+        ["isl", "--n", "7", "--frac", "0.25"],
+        ["gen", "--n", "7", "--frac", "0.25"],
+        ["sweep", "--fractions", "0.25", "--n-min", "7", "--n-max", "11", "--allow"],
+    ])
+    def test_flag_prefix_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in err or "required" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["isl", "--n", "7", "--fractions"],
+        ["asym", "--fractions"],
+        ["sweep", "--n-min", "7", "--n-max", "11", "--fractions"],
+    ])
+    @pytest.mark.parametrize("count,joined", [(cli.M_CAP + 1, False), (30000, True)])
+    def test_fraction_count_bound(self, capsys, argv, count, joined):
+        # 30000 fractions once asked asym for a 30000 x 30000 pair matrix
+        tokens = [",".join(["0.1"] * count)] if joined else ["0.1"] * count
+        code, lines, err = run(capsys, *argv, *tokens)
+        assert code == 1
+        assert lines == []
+        assert f"at most {cli.M_CAP} fractions are allowed, got {count}" in err
+        assert "Traceback" not in err
+
+    def test_fraction_count_at_the_bound(self, capsys):
+        code, lines, _ = run(capsys, "asym", "--fractions", *["0.25"] * cli.M_CAP)
+        assert code == 0
+        assert lines[1].startswith(f"{cli.M_CAP},")
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, lines, _ = run(
@@ -398,7 +453,7 @@ class TestPlumbing:
 
 # Flags each command takes, with a strategy for the tokens that follow.
 # Sizes stay small (n <= 60 or far past every bound) so an example runs
-# in milliseconds; validate at --max-n 7 is the slowest at ~0.2 s.
+# in milliseconds; validate at --max-n 7 is the slowest at ~0.1 s.
 def _one(values):
     return values.map(lambda v: [str(v)])
 
@@ -410,11 +465,21 @@ _FRACTION = st.one_of(
                      "abc", "1/0", "", ",", "1e400", "1" + "0" * 400 + "/1", "0.9999999999999"]),
     st.floats(-0.5, 1.5).map(repr),
 )
+
+
+def _repeated(lengths):
+    # one fraction token repeated: the count, not the values, is under test
+    return st.tuples(_FRACTION, lengths).map(lambda t: [t[0]] * t[1])
+
+
 _VALUES = {
     "--n": _one(st.one_of(_INTS, _HUGE)),
     "--exact-check": _one(st.one_of(_INTS, _HUGE)),
     "--fraction": _one(_FRACTION),
-    "--fractions": st.lists(_FRACTION, min_size=0, max_size=4),
+    # an accepted long list costs isl and sweep O(M^2) FFT pairs, 36 s at
+    # M = 1000 and n = 3, so their long lists sit just past the bound
+    "--fractions": st.one_of(st.lists(_FRACTION, min_size=0, max_size=4),
+                             _repeated(st.just(cli.M_CAP + 1))),
     "--resolution": _one(st.one_of(st.integers(-2, 12), st.just(100000000))),
     "--m": _one(st.one_of(st.integers(-2, 6), st.just(cli.M_CAP + 1))),
     "--n-min": _one(_INTS),
@@ -439,16 +504,24 @@ _FLAGS = {
 }
 
 
+# asym takes any count up to the bound in milliseconds
+_ASYM_FRACTIONS = st.one_of(_VALUES["--fractions"],
+                            _repeated(st.integers(5, cli.M_CAP + 1)))
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     pool = _FLAGS[command] + ["--bogus"]
     argv = [command]
     if command == "validate":
-        # the default --max-n 61 takes ~1 s
+        # the default --max-n 61 takes ~0.2 s
         argv += ["--max-n", *draw(_VALUES["--max-n"])]
     for flag in draw(st.lists(st.sampled_from(pool), max_size=6)):
-        argv += [flag, *draw(_VALUES[flag])]
+        if (command, flag) == ("asym", "--fractions"):
+            argv += [flag, *draw(_ASYM_FRACTIONS)]
+        else:
+            argv += [flag, *draw(_VALUES[flag])]
     return argv
 
 

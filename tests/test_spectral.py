@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from islkit.correlation import auto_sidelobe_energy, cross_energy
 from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 from islkit.spectral import (
+    _one_pair_triple_sum,
     auto_sidelobe_energy_spectral,
     cross_energy_spectral,
     gf_at_negated_roots,
@@ -132,6 +133,15 @@ class TestLegendreGfClosedForm:
         with pytest.raises(ValueError):
             legendre_gf_closed_form(9, 1, 1)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 13, 101])
+    def test_array_of_j_matches_scalar_j(self, n):
+        ell = legendre_sequence(n)
+        j = np.concatenate([np.arange(n), [-1, n, 2 * n + 3]])
+        batch = legendre_gf_closed_form(n, j, ell[j % n])
+        scalar = [legendre_gf_closed_form(n, int(i), int(ell[i % n])) for i in j]
+        assert batch.shape == j.shape
+        assert np.array_equal(batch, scalar)
+
     def test_rotation_covariance(self):
         # values of a rotated sequence pick up the phase eps_j^(-t)
         n = 13
@@ -242,6 +252,16 @@ class TestInterpolateNegatedRoot:
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             interpolate_negated_root(np.ones(4, dtype=complex), 0)
+
+    @pytest.mark.parametrize("n", [3, 9, 33, 199])
+    def test_array_of_j_matches_scalar_j(self, n):
+        at_roots = gf_at_roots(np.random.default_rng(n).normal(size=n))
+        j = np.concatenate([np.arange(n), [-1, n, 2 * n + 3]])
+        batch = interpolate_negated_root(at_roots, j)
+        scalar = [interpolate_negated_root(at_roots, int(i)) for i in j]
+        assert batch.shape == j.shape
+        assert np.array_equal(batch, scalar)
+        assert np.array_equal(interpolate_negated_root(at_roots, j.reshape(1, -1)), [scalar])
 
 
 class TestCrossEnergySpectral:
@@ -400,17 +420,84 @@ class TestPatternDecomposition:
             prefactor * power_sum_at_roots(ell, ell), rel=1e-12
         )
 
-    def test_size_cap(self):
-        seq = np.ones(63, dtype=int)
-        with pytest.raises(ValueError):
-            pattern_decomposition(seq, seq)
-        # raising the cap unlocks the computation
-        parts = pattern_decomposition(
-            legendre_sequence(67), legendre_sequence(67), max_n=67
-        )
-        direct = power_sum_at_negated_roots(legendre_sequence(67), legendre_sequence(67))
-        assert abs(parts.negated_power_sum.real - direct) <= 1e-6 * direct
+    def test_no_size_gate(self):
+        # O(n^2) throughout, so lengths past the old n <= 61 gate run;
+        # 63 is odd but not prime
+        for n in (63, 67, 199):
+            a = np.where(np.arange(n) % 3 == 0, 1, -1) if n == 63 else legendre_sequence(n)
+            b = np.roll(a, n // 5)
+            direct = power_sum_at_negated_roots(a, b)
+            recon = pattern_decomposition(a, b).negated_power_sum
+            assert abs(recon.real - direct) <= 1e-9 * direct, n
+            assert abs(recon.imag) <= 1e-9 * direct, n
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             pattern_decomposition([1, -1], [1, -1])
+
+
+def _one_pair_triple_sum_brute(eps, qa, qb):
+    """The one-pair triple sum by its literal O(n^3) definition: every
+    distinct (p, q, r) with kernel -1 / ((eps_q - eps_p)(eps_r - eps_p)).
+    Returns the sum and its rounding scale: the same sum over the
+    magnitudes of every factor."""
+    n = len(eps)
+    qac, qbc = qa.conj(), qb.conj()
+    aa, bb = (qa * qac).real, (qb * qbc).real
+    idx = np.arange(n)
+    distinct = (
+        (idx[:, None, None] != idx[None, :, None])
+        & (idx[:, None, None] != idx[None, None, :])
+        & (idx[None, :, None] != idx[None, None, :])
+    )
+    diff = eps[None, :] - eps[:, None]  # diff[p, q] = eps_q - eps_p
+    safe = np.where(diff == 0, 1.0, diff)
+    kernel = np.where(distinct, -1.0 / (safe[:, :, None] * safe[:, None, :]), 0.0)
+    terms = (
+        (eps * aa, eps * qb, qbc),
+        (eps * aa, qbc, eps * qb),
+        (eps**2 * qa * qb, qac, qbc),
+        (eps**2 * qa * qb, qbc, qac),
+        (eps * qa * qbc, qac, eps * qb),
+        (eps * qa * qbc, eps * qb, qac),
+        (qac * qbc, eps * qa, eps * qb),
+        (qac * qbc, eps * qb, eps * qa),
+        (eps * bb, eps * qa, qac),
+        (eps * bb, qac, eps * qa),
+        (eps * qac * qb, eps * qa, qbc),
+        (eps * qac * qb, qbc, eps * qa),
+    )
+    bracket = np.zeros((n, n, n), dtype=np.complex128)
+    scale = np.zeros((n, n, n))
+    for x, y, z in terms:
+        bracket += x[:, None, None] * y[None, :, None] * z[None, None, :]
+        scale += np.abs(x)[:, None, None] * np.abs(y)[None, :, None] * np.abs(z)[None, None, :]
+    return complex(np.sum(kernel * bracket)), float(np.sum(np.abs(kernel) * scale))
+
+
+class TestOnePairTripleSum:
+    @pytest.mark.parametrize("n", primes_in_range(3, 31))
+    def test_factored_matches_brute_force_on_legendre_rotations(self, n):
+        rng = np.random.default_rng(100 + n)
+        eps = np.asarray(roots_of_unity(n))
+        base = legendre_sequence(n)
+        for _ in range(3):
+            ta, tb = rng.integers(0, n, size=2)
+            qa = gf_at_roots(rotate_left(base, int(ta)))
+            qb = gf_at_roots(rotate_left(base, int(tb)))
+            want, scale = _one_pair_triple_sum_brute(eps, qa, qb)
+            got = _one_pair_triple_sum(eps, qa, qb)
+            # ta == tb can cancel the sum to rounding noise
+            assert abs(got - want) <= 1e-13 * scale, (n, ta, tb)
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 15, 21, 31])
+    def test_factored_matches_brute_force_on_random_values(self, n):
+        rng = np.random.default_rng(200 + n)
+        eps = np.asarray(roots_of_unity(n))
+        for _ in range(3):
+            qa = rng.normal(size=n) + 1j * rng.normal(size=n)
+            qb = rng.normal(size=n) + 1j * rng.normal(size=n)
+            want, scale = _one_pair_triple_sum_brute(eps, qa, qb)
+            got = _one_pair_triple_sum(eps, qa, qb)
+            assert abs(got - want) <= 1e-13 * scale, n
+            assert abs(got - want) <= 1e-12 * abs(want), n
