@@ -18,11 +18,12 @@ from . import selfcheck
 from .asymptotic import isl_limit
 from .correlation import MAX_EXACT_N, RoundingResidualError, isl_report
 from .optimize import exact_validate, optimize_rotations
-from .sequences import bind_rotations, is_prime, primes_in_range
-from .spectral import auto_sidelobe_energy_spectral, cross_energy_spectral
+from .sequences import bind_rotations, check_fractions, is_prime, primes_in_range
+from .spectral import energy_matrix_spectral
 
-# Exact ISL is O(M^2 N log N) by FFT; isl with 4 rotations at n = 999983
-# takes ~1.7 s and peaks near 160 MB.  Longer lengths need --allow-large.
+# Exact ISL is O(M N log N + M^2 N); on a 2-core x86-64 host isl at
+# n = 999983 takes ~0.33 s and ~160 MB with 4 rotations, ~0.65 s and
+# ~215 MB with 8.  Longer lengths need --allow-large.
 DIRECT_N_CAP = 1_000_000
 SPECTRAL_CHECK_MAX_N = 199
 # surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
@@ -58,7 +59,7 @@ def fmt(x: float) -> str:
 
 
 def parse_fraction(token: str) -> float:
-    """Rotation fraction from a decimal or a p/q rational literal."""
+    """Rotation fraction in [0, 1] from a decimal or a p/q rational literal."""
     try:
         value = float(Fraction(token)) if "/" in token else float(token)
     except OverflowError:  # a rational too large for a float
@@ -67,6 +68,10 @@ def parse_fraction(token: str) -> float:
         raise UsageError(f"invalid fraction {token!r}: {exc}") from None
     if not math.isfinite(value):
         raise UsageError(f"invalid fraction {token!r}: not a finite number")
+    try:
+        check_fractions(value)
+    except ValueError as exc:
+        raise UsageError(f"invalid fraction {token!r}: {exc}") from None
     return value
 
 
@@ -116,9 +121,7 @@ def _emit(lines, output_path):
 
 def cmd_gen(args) -> int:
     n = _require_prime(args.n)
-    # the same bound as isl, checked before the length-n sequence exists
-    if n > MAX_EXACT_N:
-        raise UsageError(f"n={n} exceeds {MAX_EXACT_N}, the longest sequence islkit builds")
+    _check_cap(n, allow_large=True)  # the longest sequence islkit builds
     rset = bind_rotations([parse_fraction(args.fraction)], n)
     seq = rset.sequences()[0]
     _emit([" ".join(str(int(v)) for v in seq)], args.output)
@@ -126,21 +129,17 @@ def cmd_gen(args) -> int:
 
 
 def _isl_spectral_crosscheck(report, seqs) -> None:
-    checks = []
-    for p, s in enumerate(seqs):
-        checks.append((f"auto[{p}]", report.auto_terms[p], auto_sidelobe_energy_spectral(s)))
-    for p in range(report.m):
-        for q in range(p + 1, report.m):
-            checks.append(
-                (f"cross[{p},{q}]", report.cross_terms[p, q], cross_energy_spectral(seqs[p], seqs[q]))
-            )
-    for name, direct, spec_val in checks:
-        err = abs(spec_val - direct) / max(abs(direct), 1.0)
-        if err > 1e-9:
-            raise ValidationFailure(
-                f"spectral cross-check failed for {name}: direct={direct!r} "
-                f"spectral={spec_val!r} rel_err={err:.3e}"
-            )
+    direct = report.cross_terms + np.diag(report.auto_terms)
+    spectral = energy_matrix_spectral(seqs) - report.n**2 * np.eye(report.m)
+    err = np.abs(spectral - direct) / np.maximum(np.abs(direct), 1.0)
+    worst = np.unravel_index(np.argmax(err), err.shape)
+    if err[worst] > 1e-9:
+        p, q = sorted(worst)
+        name = f"auto[{p}]" if p == q else f"cross[{p},{q}]"
+        raise ValidationFailure(
+            f"spectral cross-check failed for {name}: direct={direct[worst]} "
+            f"spectral={float(spectral[worst])!r} rel_err={err[worst]:.3e}"
+        )
 
 
 def cmd_isl(args) -> int:
@@ -198,7 +197,7 @@ def cmd_sweep(args) -> int:
         fractions = list(optimize_rotations(_check_m(args.m)).fractions)
     elif args.fractions:
         fractions = parse_fraction_list(args.fractions)
-        if args.m and args.m != len(fractions):
+        if args.m is not None and args.m != len(fractions):
             raise UsageError(f"--m {args.m} contradicts {len(fractions)} fractions")
     else:
         raise UsageError("sweep needs --fractions or --optimal")
@@ -242,6 +241,8 @@ def cmd_optimize(args) -> int:
 def cmd_validate(args) -> int:
     if args.max_n < 7:
         raise UsageError("--max-n must be >= 7")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     results = selfcheck.run_validation(args.max_n, args.seed)
     lines = []
     for r in results:
@@ -264,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="print one rotated Legendre sequence")
     p.add_argument("--n", type=int, required=True, help="odd prime length")
     p.add_argument("--fraction", default="0", help="rotation fraction (decimal or p/q)")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("isl", help="exact ISL of a rotated-sequence set")
@@ -273,17 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rotation fractions (decimals or p/q, space or comma separated)")
     p.add_argument("--allow-large", action="store_true",
                    help=f"permit n beyond {DIRECT_N_CAP}")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_isl)
 
     p = sub.add_parser("asym", help="asymptotic normalized ISL of a rotation set")
     p.add_argument("--fractions", nargs="+", required=True)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("surface", help="asymptotic ISL grid for two rotations")
     p.add_argument("--resolution", type=int, default=128, help="grid cells per axis")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("sweep", help="exact vs asymptotic ISL over a prime range")
@@ -294,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="minimize the asymptotic ISL over rotations")
@@ -302,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-check", type=int, default=None,
                    help="also compute the exact normalized ISL at this prime")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("validate", help="run all cross-path consistency checks")
     p.add_argument("--max-n", type=int, default=61)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_validate)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
     return parser
 
 
@@ -323,7 +319,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # no CLI check caught it: name the function that raised
+        import traceback  # only on this path, so start-up stays lean
+
+        origin = traceback.extract_tb(exc.__traceback__)[-1].name
+        print(f"error in {origin}: {exc}", file=sys.stderr)
         return 1
     except (ValidationFailure, RoundingResidualError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

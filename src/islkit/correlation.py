@@ -1,10 +1,9 @@
 """Correlation sums of antipodal sequences: the exact ISL and its oracle.
 
-`isl_report` computes every aperiodic correlation of a set by FFT
-(numpy.fft on rows zero-padded to a 2*3*5-smooth length of at least
-2n-1, so no lag wraps around), rounds the values to integers and checks
-that none sat 0.25 or more from its integer: the energies are exact by
-check, not by assumption, and are summed in int64.
+`isl_report` rounds one FFT autocorrelation per sequence to integers,
+checking that no value sat 0.25 or more from its integer, and takes
+every auto and cross energy from them as one int64 matrix product:
+exact by check, not by assumption, in O(M n log n + M^2 n).
 
 `aperiodic_correlation` and the energies built on it use plain sliding
 products (numpy's direct correlate, no FFT).  They are the oracle the
@@ -23,8 +22,8 @@ from .sequences import check_antipodal
 # Largest distance from its integer at which an FFT correlation value
 # still counts as rounding noise: antipodal inputs give integer values.
 MAX_ROUNDING_RESIDUAL = 0.25
-# Largest n whose correlation energies fit in int64: a pair's energy is
-# at most sum_k (n - |k|)^2 = n (2n^2 + 1) / 3 < 2^63.
+# Largest n whose correlation energies fit in int64: isl_report's 2 R R^T,
+# a pair's energy plus n^2, is at most n (n + 1) (2n + 1) / 3 < 2^63.
 MAX_EXACT_N = 2_400_000
 
 
@@ -95,47 +94,43 @@ def _smooth_length(k: int) -> int:
 def isl_report(seqs) -> IslReport:
     """Integrated sidelobe level of a set, assembled term by term.
 
-    Pairs p <= q are visited in lexicographic order, one at a time: the
-    correlation of a pair is the inverse real FFT of one spectrum times
-    the conjugate of the other, and at most two spectra are alive.
-    Raises RoundingResidualError if a value is not within
+    seqs is an (M, n) array-like of antipodal rows.  Row p makes one FFT
+    round trip (rfft, |spectrum|^2 in place, irfft) on a 2*3*5-smooth
+    length >= 2n-1, so no lag wraps, and its lags 0..n-1 are rounded
+    into row p of the int64 autocorrelation matrix R.  By the paper's
+    circle-sum identity read in the lag domain, sum_k X_pq(k)^2 =
+    sum_k r_p(k) r_q(k), so the energy matrix is 2 R R^T - n^2.  Raises
+    RoundingResidualError if a rounded value is not within
     MAX_ROUNDING_RESIDUAL of an integer.
     """
-    seqs = [check_antipodal(s) for s in seqs]
-    if not seqs:
-        raise ValueError("sequence set is empty")
-    n = len(seqs[0])
-    if any(len(s) != n for s in seqs):
-        raise ValueError("all sequences must have equal length")
+    seqs = check_antipodal(seqs)
+    if seqs.ndim != 2:
+        raise ValueError(f"expected an (M, n) array of sequences, got shape {seqs.shape}")
+    m, n = seqs.shape
     if n > MAX_EXACT_N:
         raise ValueError(f"n={n} exceeds {MAX_EXACT_N}, beyond which energies overflow int64")
-    m = len(seqs)
     length = _smooth_length(2 * n - 1)
     # looked up per call: numpy loads numpy.fft on first access only
     rfft, irfft = np.fft.rfft, np.fft.irfft
-    energy = np.zeros((m, m), dtype=np.int64)
-    spec_p = np.empty(length // 2 + 1, dtype=np.complex128)
-    spec_q = np.empty_like(spec_p)
+    spec = np.empty(length // 2 + 1, dtype=np.complex128)
+    power, imag = spec.real, spec.imag  # views into spec
     corr = np.empty(length)
-    values = np.empty(length, dtype=np.int64)
+    autocorr = np.empty((m, n), dtype=np.int64)
     for p in range(m):
-        rfft(seqs[p], length, out=spec_p)
-        for q in range(p, m):
-            if q == p:
-                np.conjugate(spec_p, out=spec_q)
-            else:
-                np.conjugate(rfft(seqs[q], length, out=spec_q), out=spec_q)
-            spec_q *= spec_p
-            corr = irfft(spec_q, length, out=corr)
-            np.rint(corr, out=values, casting="unsafe")
-            corr -= values
-            residual = max(corr.max(), -corr.min())
-            if not residual < MAX_ROUNDING_RESIDUAL:
-                raise RoundingResidualError(
-                    f"FFT correlation of sequences {p} and {q} (n={n}) lies "
-                    f"{residual:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
-                )
-            energy[p, q] = energy[q, p] = values @ values
+        rfft(seqs[p], length, out=spec)
+        np.square(power, out=power)
+        power += np.square(imag, out=imag)
+        imag.fill(0.0)
+        lags = irfft(spec, length, out=corr)[:n]
+        np.rint(lags, out=autocorr[p], casting="unsafe")
+        lags -= autocorr[p]
+        residual = max(lags.max(), -lags.min())
+        if not residual < MAX_ROUNDING_RESIDUAL:
+            raise RoundingResidualError(
+                f"FFT autocorrelation of sequence {p} (n={n}) lies "
+                f"{residual:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
+            )
+    energy = 2 * (autocorr @ autocorr.T) - n * n
     auto = energy.diagonal() - n * n
     np.fill_diagonal(energy, 0)
     total = sum(auto.tolist()) + sum(energy.ravel().tolist())

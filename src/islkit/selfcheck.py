@@ -76,12 +76,11 @@ def random_quads(rng, n: int, count: int) -> np.ndarray:
 def check_spectral_vs_direct(max_n: int, rng) -> CheckResult:
     worst, where = 0.0, ""
     for n in range(3, max_n + 1, 2):
-        for _ in range(5):
-            a = rng.choice([-1, 1], n)
-            b = rng.choice([-1, 1], n)
-            direct = cross_energy(a, b)
-            spec_val = spectral.cross_energy_spectral(a, b)
-            err = abs(spec_val - direct) / abs(direct)
+        rows = rng.choice([-1, 1], (10, n))  # pairs (0, 1), (2, 3), ...
+        energies = spectral.energy_matrix_spectral(rows)
+        for i in range(0, 10, 2):
+            direct = cross_energy(rows[i], rows[i + 1])
+            err = abs(energies[i, i + 1] - direct) / abs(direct)
             if err > worst:
                 worst, where = err, f"n={n}"
     return _result("spectral-vs-direct", worst, 1e-9, where)

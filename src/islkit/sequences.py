@@ -95,10 +95,10 @@ def rotate_left(seq: np.ndarray, t: int) -> np.ndarray:
 
 
 def check_antipodal(seq) -> np.ndarray:
-    """Validate a +-1 sequence and return it as an int64 array."""
+    """Validate +-1 entries (one sequence or rows of them) as int64."""
     arr = np.asarray(seq)
     values = arr.astype(np.int64, copy=False)
-    if len(values) == 0:
+    if values.size == 0:
         raise ValueError("sequence must be nonempty")
     if np.any(values != arr) or not np.all(np.abs(values) == 1):
         raise ValueError("sequence entries must be exactly -1 or +1")
@@ -132,10 +132,11 @@ class RotationSet:
     offsets: tuple[int, ...]
     n: int
 
-    def sequences(self) -> list[np.ndarray]:
-        """The rotated Legendre sequences this set denotes."""
+    def sequences(self) -> np.ndarray:
+        """(M, n) int64 array, row p the Legendre sequence rotated left by offsets[p]."""
         base = legendre_sequence(self.n)
-        return [rotate_left(base, t) for t in self.offsets]
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([base, base]), self.n)
+        return windows[list(self.offsets)]
 
 
 def bind_rotations(fractions, n: int) -> RotationSet:

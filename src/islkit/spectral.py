@@ -5,10 +5,10 @@ sequences equals (S_plus + S_minus) / (2n), where S_plus and S_minus are
 the sums over the n-th roots of unity (resp. their negatives) of
 |Q_a(z) Q_b*(z)|^2.  The n-th roots and their negatives are together the
 2n-th roots of unity, so both sums come from one length-2n FFT per
-sequence (numpy.fft, loaded on first use).  S_minus additionally admits
-a closed-form expansion through partial-fraction kernel sums over
-quadruples of root indices, which collapses to O(n^2) sums; every
-closed form here has a direct-evaluation twin.
+sequence (numpy.fft, loaded on first use), and a set's energies are one
+Gram matrix.  S_minus additionally admits a closed-form expansion
+through partial-fraction kernel sums over quadruples of root indices,
+which collapses to O(n^2) sums; every closed form has a direct twin.
 """
 
 from __future__ import annotations
@@ -51,19 +51,19 @@ def gf_eval(seq, z):
 
 
 def gf_at_roots(seq) -> np.ndarray:
-    """Generating-function values at all n-th roots of unity.
+    """Generating-function values at all n-th roots of unity (last axis).
 
     Q(eps_j) = sum_k a_k exp(2 pi i j k / n) is n times the inverse DFT
     of the sequence, taken with numpy.fft in O(n log n).
     """
     a = np.asarray(seq, dtype=np.float64)
-    return len(a) * np.fft.ifft(a)
+    return a.shape[-1] * np.fft.ifft(a)
 
 
 def _gf_at_double_roots(a: np.ndarray) -> np.ndarray:
     # the 2n-th roots are the roots of unity of the zero-padded sequence:
     # bin 2j holds eps_j, bin (2j + n) mod 2n holds -eps_j
-    return gf_at_roots(np.concatenate([a, np.zeros_like(a)]))
+    return gf_at_roots(np.concatenate([a, np.zeros_like(a)], axis=-1))
 
 
 def gf_at_negated_roots(seq) -> np.ndarray:
@@ -128,23 +128,27 @@ def interpolate_negated_root(at_roots, j):
     return (2.0 / n) * np.sum(weights * at_roots, axis=-1)
 
 
-def cross_energy_spectral(a, b) -> float:
-    """Sum of squared cross-correlations over all lags, via the two
-    circle power sums: (S_plus + S_minus) / (2n).
+def energy_matrix_spectral(rows) -> np.ndarray:
+    """(M, M) cross-correlation energies, all lags, of M rows of odd
+    length n: S_plus + S_minus is the Gram matrix of the rows' |Q|^2 over
+    the 2n-th roots (one length-2n FFT per row), and the energy is 1/2n of it."""
+    n = np.shape(rows)[-1]
+    _require_odd(n)
+    q = _gf_at_double_roots(np.asarray(rows))
+    power = (q * q.conj()).real
+    return power @ power.T / (2 * n)
 
-    S_plus and S_minus are the even and the odd bins of one sum over the
-    2n-th roots of unity, so each sequence takes one length-2n FFT.
-    """
-    a, b, n = _as_pair(a, b)
-    return _power_product_sum(_gf_at_double_roots(a), _gf_at_double_roots(b)) / (2 * n)
+
+def cross_energy_spectral(a, b) -> float:
+    """Sum of squared cross-correlations over all lags, spectrally."""
+    a, b, _ = _as_pair(a, b)
+    return float(energy_matrix_spectral([a, b])[0, 1])
 
 
 def auto_sidelobe_energy_spectral(a) -> float:
     """Autocorrelation sidelobe energy via the spectral path: the full
     lag sum minus the n^2 mainlobe."""
-    a = np.asarray(a, dtype=np.float64)
-    n = len(a)
-    return cross_energy_spectral(a, a) - float(n) ** 2
+    return float(energy_matrix_spectral([a])[0, 0]) - float(len(a)) ** 2
 
 
 def kernel_sums_direct(quads, n: int) -> np.ndarray:

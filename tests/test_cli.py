@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import islkit.cli as cli
+import islkit.correlation
 import islkit.selfcheck
 import islkit.spectral
 from islkit.correlation import auto_sidelobe_energy
@@ -86,10 +87,26 @@ class TestIsl:
         assert one == zero
 
     def test_spectral_crosscheck_mismatch_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "cross_energy_spectral", lambda a, b: 0.0)
-        code, _, err = run(capsys, "isl", "--n", "7", "--fractions", "0", "0.5")
-        assert code == 2
-        assert "cross-check" in err
+        energies = islkit.spectral.energy_matrix_spectral
+        for bump, name in (((0, 0), "auto[0]"), ((1, 2), "cross[1,2]"), ((2, 1), "cross[1,2]")):
+            def corrupted(rows, bump=bump):
+                out = energies(rows)
+                out[bump] += 1.0
+                return out
+
+            monkeypatch.setattr(cli, "energy_matrix_spectral", corrupted)
+            code, _, err = run(capsys, "isl", "--n", "7", "--fractions", "0", "0.5", "0.25")
+            assert code == 2
+            assert "cross-check" in err and name in err
+
+    def test_library_value_error_names_its_origin(self, capsys, monkeypatch):
+        # a check the CLI does not make itself: isl_report refuses the length
+        monkeypatch.setattr(islkit.correlation, "MAX_EXACT_N", 5)
+        code, lines, err = run(capsys, "isl", "--n", "7", "--fractions", "0")
+        assert code == 1
+        assert lines == []
+        assert "error in isl_report: n=7 exceeds 5" in err
+        assert "Traceback" not in err
 
     def test_cap_requires_override_flag(self, capsys):
         # 1000003 is the first prime above DIRECT_N_CAP
@@ -204,6 +221,15 @@ class TestSweep:
         assert code == 1
         assert lines == []
         assert "must lie in [0, 1]" in err
+
+    @pytest.mark.parametrize("m", ["0", "-3", "2"])
+    def test_m_must_match_the_fraction_count(self, capsys, m):
+        # --m 0 once passed unchecked because 0 is falsy
+        code, lines, err = run(capsys, "sweep", "--m", m, "--fractions", "0.25",
+                               "--n-min", "7", "--n-max", "30")
+        assert code == 1
+        assert lines == []
+        assert f"--m {m} contradicts 1 fractions" in err
 
     def test_empty_prime_range_exits_one(self, capsys):
         code, _, err = run(
@@ -320,6 +346,14 @@ class TestValidate:
         names = {l.split()[1] for l in lines}
         assert "kernel-twin" in names and "dilog-series" in names
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_names_the_flag(self, capsys, seed):
+        code, lines, err = run(capsys, "validate", "--max-n", "7", "--seed", seed)
+        assert code == 1
+        assert lines == []
+        assert f"--seed must be a non-negative integer, got {seed}" in err
+        assert "Traceback" not in err
+
     def test_corrupted_kernel_constant_is_named(self, capsys, monkeypatch):
         true_fn = islkit.spectral.kernel_sums_closed_form
 
@@ -392,6 +426,21 @@ class TestPlumbing:
         assert code == 1
         assert lines == []
         assert f"invalid fraction {token!r}: not a finite number" in err
+
+    @pytest.mark.parametrize("token", ["1.5", "-0.25", "5/4"])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "7", "--fraction"],
+        ["isl", "--n", "7", "--fractions", "0.25"],
+        ["asym", "--fractions", "0.25"],
+        ["sweep", "--n-min", "7", "--n-max", "30", "--fractions", "0.25"],
+    ])
+    def test_out_of_range_fraction_is_a_usage_error(self, capsys, argv, token):
+        # refused while parsing, by the one check_fractions, and named
+        code, lines, err = run(capsys, *argv, token)
+        assert code == 1
+        assert lines == []
+        assert f"error: invalid fraction {token!r}: rotation fraction must lie in [0, 1]" in err
+        assert "Traceback" not in err
 
     def test_unwritable_output_exits_one(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
@@ -476,8 +525,9 @@ _VALUES = {
     "--n": _one(st.one_of(_INTS, _HUGE)),
     "--exact-check": _one(st.one_of(_INTS, _HUGE)),
     "--fraction": _one(_FRACTION),
-    # an accepted long list costs isl and sweep O(M^2) FFT pairs, 36 s at
-    # M = 1000 and n = 3, so their long lists sit just past the bound
+    # an accepted list at the bound costs sweep one 1000 x 1000 Gram
+    # product per prime, ~0.75 s over n <= 60, so the long lists sit just
+    # past the bound and each example stays in milliseconds
     "--fractions": st.one_of(st.lists(_FRACTION, min_size=0, max_size=4),
                              _repeated(st.just(cli.M_CAP + 1))),
     "--resolution": _one(st.one_of(st.integers(-2, 12), st.just(100000000))),

@@ -184,6 +184,30 @@ class TestFftIslReport:
         assert rep.auto_terms.tolist() == [energy - n * n] * 2
         assert rep.cross_terms[0, 1] == energy
 
+    def test_int64_edge_at_max_exact_n(self):
+        # the largest energy 2 R R^T - n^2 can hold: an all-ones pair at
+        # MAX_EXACT_N, where 2 R R^T itself sits within 0.1% of 2^63
+        n = MAX_EXACT_N
+        rep = isl_report(np.ones((2, n), dtype=np.int64))
+        energy = n * (2 * n * n + 1) // 3
+        assert rep.cross_terms[0, 1] == rep.cross_terms[1, 0] == energy
+        assert rep.auto_terms.tolist() == [energy - n * n] * 2
+        assert rep.total == 4 * energy - 2 * n * n
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_one_fft_round_trip_per_row(self, monkeypatch, m):
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return rfft(*args, **kw)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        rng = np.random.default_rng(m)
+        isl_report(rng.choice([-1, 1], (m, 31)))
+        assert len(calls) == m
+
     @pytest.mark.parametrize("offset", [0.3, -0.3])
     def test_rounding_residual_guard_raises(self, monkeypatch, offset):
         irfft = np.fft.irfft
@@ -214,8 +238,10 @@ class TestFftIslReport:
             assert not any(smooth(j) for j in range(k, length))
 
     def test_int64_bound(self):
-        # a pair's energy is at most n (2n^2 + 1) / 3, which must fit int64
+        # 2 R R^T, at most n (n + 1) (2n + 1) / 3 and the largest value
+        # isl_report forms, must fit int64; so must a pair's energy
         n = MAX_EXACT_N
+        assert n * (n + 1) * (2 * n + 1) // 3 < 2**63
         assert n * (2 * n * n + 1) // 3 < 2**63
         with pytest.raises(ValueError, match="overflow int64"):
             isl_report([np.ones(MAX_EXACT_N + 1, dtype=np.int64)])

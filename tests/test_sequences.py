@@ -185,6 +185,15 @@ class TestBindRotations:
         assert a.tolist() == legendre_sequence(7).tolist()
         assert b.tolist() == rotate_left(legendre_sequence(7), 2).tolist()
 
+    @pytest.mark.parametrize("n", [3, 7, 101])
+    @pytest.mark.parametrize("fractions", [[0.0], [0.25], [0.0, 0.3, 1.0, 0.5, 0.99]])
+    def test_sequences_array_rows_are_rotations(self, n, fractions):
+        rs = bind_rotations(fractions, n)
+        seqs = rs.sequences()
+        assert seqs.shape == (len(fractions), n) and seqs.dtype == np.int64
+        for row, t in zip(seqs, rs.offsets):
+            assert np.array_equal(row, rotate_left(legendre_sequence(n), t))
+
 
 @pytest.mark.parametrize("f, ok", [
     (0.0, True), (1.0, True), (1.0 - 1e-12, True),

@@ -9,6 +9,7 @@ from islkit.spectral import (
     _one_pair_triple_sum,
     auto_sidelobe_energy_spectral,
     cross_energy_spectral,
+    energy_matrix_spectral,
     gf_at_negated_roots,
     gf_at_roots,
     gf_eval,
@@ -297,6 +298,30 @@ class TestCrossEnergySpectral:
         a, b = rotate_left(ell, 500), rotate_left(ell, 1751)
         direct = cross_energy(a, b)
         assert abs(cross_energy_spectral(a, b) - direct) <= 1e-9 * direct
+
+
+class TestEnergyMatrixSpectral:
+    def test_matches_direct_energies(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 9, 101):
+            rows = rng.choice([-1, 1], (5, n))
+            energies = energy_matrix_spectral(rows)
+            assert energies.shape == (5, 5)
+            assert np.array_equal(energies, energies.T)
+            for p in range(5):
+                for q in range(5):
+                    direct = cross_energy(rows[p], rows[q])
+                    assert abs(energies[p, q] - direct) <= 1e-9 * direct
+
+    def test_pair_functions_read_the_matrix(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.choice([-1, 1], (2, 31))
+        assert cross_energy_spectral(a, b) == energy_matrix_spectral([a, b])[0, 1]
+        assert auto_sidelobe_energy_spectral(a) == energy_matrix_spectral([a])[0, 0] - 31.0**2
+
+    def test_even_length_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            energy_matrix_spectral(np.ones((2, 4)))
 
 
 class TestAutoSidelobeEnergySpectral:
