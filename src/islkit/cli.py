@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -21,10 +22,12 @@ from .optimize import exact_validate, optimize_rotations
 from .sequences import bind_rotations, check_fractions, is_prime, primes_in_range
 from .spectral import energy_matrix_spectral
 
-# Exact ISL is O(M N log N + M^2 N); on a 2-core x86-64 host isl at
-# n = 999983 takes ~0.33 s and ~160 MB with 4 rotations, ~0.65 s and
-# ~215 MB with 8.  Longer lengths need --allow-large.
-DIRECT_N_CAP = 1_000_000
+# Exact ISL is O(M N log N + M^2 N) and holds M x N entries; on a 2-core
+# x86-64 host each sequence adds ~15 MB at n ~ 10^6 (15 bytes per entry).
+# isl at n = 999983 takes ~0.33 s and ~160 MB with 4 rotations, ~9.0 s
+# and ~1.07 GB with 64.  The bound on M x N admits 128 rotations there
+# (~28 s, ~2.1 GB) and 55 at n = 2399993 (~19 s, ~2.2 GB).
+MAX_SET_ENTRIES = 2**27
 SPECTRAL_CHECK_MAX_N = 199
 # surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
 # peaks near 340 MB, and the cost grows with R^2.
@@ -32,6 +35,10 @@ SURFACE_RESOLUTION_CAP = 1000
 # optimize evaluates its M-set with M x M arrays; --m 1000 peaks near 60 MB.
 # It also bounds every --fractions list (isl, sweep, asym).
 M_CAP = 1000
+# validate runs its Gauss-sum and periodic checks on every prime up to
+# --max-n, the latter with an O(n^2) correlate: --max-n 2003 takes ~0.3 s,
+# 10007 ~4.9 s (like surface at R = 1000) and 20000 ~39 s.
+VALIDATE_MAX_N = 10_000
 
 
 class UsageError(Exception):
@@ -91,15 +98,13 @@ def _require_prime(n: int) -> int:
     return n
 
 
-def _check_cap(n: int, allow_large: bool) -> None:
-    # checked before any sequence is built, so a huge n never allocates
+def _check_size(m: int, n: int) -> None:
+    # checked before any sequence is built, so a huge set never allocates
     if n > MAX_EXACT_N:
         raise UsageError(f"n={n} exceeds {MAX_EXACT_N}, beyond which ISL energies overflow int64")
-    if n > DIRECT_N_CAP and not allow_large:
-        raise UsageError(
-            f"n={n} exceeds the direct-computation cap {DIRECT_N_CAP}; "
-            "pass --allow-large to override"
-        )
+    if m * n > MAX_SET_ENTRIES:
+        raise UsageError(f"{m} sequences of length {n} hold m*n={m * n} entries, "
+                         f"more than the bound {MAX_SET_ENTRIES}")
 
 
 def _check_m(m: int) -> int:
@@ -116,12 +121,13 @@ def _emit(lines, output_path):
         except OSError as exc:
             raise UsageError(f"cannot write {output_path!r}: {exc.strerror or exc}") from None
     else:
-        print("\n".join(lines))
+        # flushed here, so a closed pipe raises inside main, not at exit
+        print("\n".join(lines), flush=True)
 
 
 def cmd_gen(args) -> int:
     n = _require_prime(args.n)
-    _check_cap(n, allow_large=True)  # the longest sequence islkit builds
+    _check_size(1, n)
     rset = bind_rotations([parse_fraction(args.fraction)], n)
     seq = rset.sequences()[0]
     _emit([" ".join(str(int(v)) for v in seq)], args.output)
@@ -144,8 +150,8 @@ def _isl_spectral_crosscheck(report, seqs) -> None:
 
 def cmd_isl(args) -> int:
     n = _require_prime(args.n)
-    _check_cap(n, args.allow_large)
     fractions = parse_fraction_list(args.fractions)
+    _check_size(len(fractions), n)
     rset = bind_rotations(fractions, n)
     seqs = rset.sequences()
     report = isl_report(seqs)
@@ -203,10 +209,10 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs --fractions or --optimal")
     if args.n_min > args.n_max:
         raise UsageError("--n-min must not exceed --n-max")
+    _check_size(len(fractions), args.n_max)
     primes = primes_in_range(max(args.n_min, 3), args.n_max)
     if not primes:
         raise UsageError(f"no odd primes in [{args.n_min}, {args.n_max}]")
-    _check_cap(primes[-1], args.allow_large)
 
     asym = isl_limit(fractions).total
     lines = ["N,exact_normalized,asymptotic,relative_error"]
@@ -226,7 +232,7 @@ def cmd_optimize(args) -> int:
     ]
     if args.exact_check is not None:
         n = _require_prime(args.exact_check)
-        _check_cap(n, args.allow_large)
+        _check_size(args.m, n)
         result = exact_validate(result, n)
         chk = result.exact_check
         rel = abs(chk.normalized - result.asym_value) / result.asym_value
@@ -239,8 +245,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.max_n < 7:
-        raise UsageError("--max-n must be >= 7")
+    if not 7 <= args.max_n <= VALIDATE_MAX_N:
+        raise UsageError(f"--max-n must lie in [7, {VALIDATE_MAX_N}], got {args.max_n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     results = selfcheck.run_validation(args.max_n, args.seed)
@@ -271,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="odd prime length")
     p.add_argument("--fractions", nargs="+", required=True,
                    help="rotation fractions (decimals or p/q, space or comma separated)")
-    p.add_argument("--allow-large", action="store_true",
-                   help=f"permit n beyond {DIRECT_N_CAP}")
     p.set_defaults(func=cmd_isl)
 
     p = sub.add_parser("asym", help="asymptotic normalized ISL of a rotation set")
@@ -290,18 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use rotations minimizing the asymptotic ISL")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="minimize the asymptotic ISL over rotations")
     p.add_argument("--m", type=int, required=True, help=f"set size, 1..{M_CAP}")
     p.add_argument("--exact-check", type=int, default=None,
                    help="also compute the exact normalized ISL at this prime")
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("validate", help="run all cross-path consistency checks")
-    p.add_argument("--max-n", type=int, default=61)
+    p.add_argument("--max-n", type=int, default=61,
+                   help=f"largest length checked, 7..{VALIDATE_MAX_N}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 
@@ -315,6 +318,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -108,21 +111,39 @@ class TestIsl:
         assert "error in isl_report: n=7 exceeds 5" in err
         assert "Traceback" not in err
 
-    def test_cap_requires_override_flag(self, capsys):
-        # 1000003 is the first prime above DIRECT_N_CAP
-        assert cli.DIRECT_N_CAP < 1000003
-        code, _, err = run(capsys, "isl", "--n", "1000003", "--fractions", "0")
-        assert code == 1
-        assert "--allow-large" in err
+    def test_past_the_old_length_cap_needs_no_flag(self, capsys):
+        # the first prime above 10^6: one sequence is far inside the m*n bound
+        code, lines, _ = run(capsys, "isl", "--n", "1000003", "--fractions", "0")
+        assert code == 0
+        assert lines[1].startswith("1000003,1,")
 
     def test_int64_bound_exits_one_before_building(self, capsys):
         # 2400001 is the first prime above MAX_EXACT_N; the check runs
         # before any length-n array exists, so even n ~ 1e9 exits at once
         for n in ("2400001", "1000000007"):
-            code, lines, err = run(capsys, "isl", "--n", n, "--fractions", "0", "--allow-large")
+            code, lines, err = run(capsys, "isl", "--n", n, "--fractions", "0")
             assert code == 1
             assert lines == []
             assert "overflow int64" in err
+
+    def test_set_size_bound_exits_one_before_building(self, capsys):
+        # 1000 rows at n = 999983 would need ~15 GB
+        assert cli.M_CAP * 999983 > cli.MAX_SET_ENTRIES
+        start = time.perf_counter()
+        code, lines, err = run(capsys, "isl", "--n", "999983",
+                               "--fractions", *["0.25"] * cli.M_CAP)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert lines == []
+        assert f"more than the bound {cli.MAX_SET_ENTRIES}" in err
+        assert "Traceback" not in err
+
+    def test_set_size_bound_admits_its_extremes(self):
+        # 128 rows at n = 999983 and 55 at the int64 bound fit; one more does not
+        cli._check_size(128, 999983)
+        cli._check_size(55, 2399993)
+        with pytest.raises(cli.UsageError, match="more than the bound"):
+            cli._check_size(56, 2399993)
 
     def test_large_n_prints_exact_integers(self, capsys):
         code, lines, _ = run(capsys, "isl", "--n", "300007",
@@ -266,6 +287,16 @@ class TestSweep:
         assert code == 0
         assert float(lines[1].split(",")[2]) == pytest.approx(12 * 11 + 1 / 6, rel=1e-11)
 
+    def test_n_max_bounded_before_enumerating_primes(self, capsys):
+        # checked before primes_in_range, which would list ~3.8e10 primes
+        start = time.perf_counter()
+        code, lines, err = run(capsys, "sweep", "--fractions", "0.1",
+                               "--n-min", "3", "--n-max", "1000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert lines == []
+        assert "overflow int64" in err
+
     @pytest.mark.parametrize("m", ["0", "-3", str(cli.M_CAP + 1)])
     def test_optimal_m_out_of_range_exits_one(self, capsys, m):
         code, _, err = run(
@@ -326,11 +357,21 @@ class TestOptimize:
         assert lines == []
         assert "--m must lie in" in err
 
+    def test_exact_check_set_size_bound_exits_one(self, capsys):
+        start = time.perf_counter()
+        code, lines, err = run(capsys, "optimize", "--m", "1000", "--exact-check", "999983")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert lines == []
+        assert f"more than the bound {cli.MAX_SET_ENTRIES}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["optimize", "--m", "2"],
         ["sweep", "--optimal", "--m", "2", "--n-min", "7", "--n-max", "7"],
+        ["isl", "--n", "7", "--fractions", "0.25"],
     ])
-    @pytest.mark.parametrize("flag", ["--resolution", "--tol"])
+    @pytest.mark.parametrize("flag", ["--resolution", "--tol", "--allow-large"])
     def test_search_flags_removed(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, flag, "64"])
@@ -391,9 +432,15 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--max-n", "5")
         assert code == 1
 
-    def test_full_depth_within_time_budget(self, capsys):
-        import time
+    @pytest.mark.parametrize("max_n", ["5", str(cli.VALIDATE_MAX_N + 1), "1000000"])
+    def test_max_n_out_of_range_names_the_flag(self, capsys, max_n):
+        # 10^6 would run its O(n^2) periodic check for days
+        code, lines, err = run(capsys, "validate", "--max-n", max_n)
+        assert code == 1
+        assert lines == []
+        assert f"--max-n must lie in [7, {cli.VALIDATE_MAX_N}], got {max_n}" in err
 
+    def test_full_depth_within_time_budget(self, capsys):
         start = time.perf_counter()
         code, lines, _ = run(capsys, "validate", "--max-n", "61")
         elapsed = time.perf_counter() - start
@@ -489,6 +536,24 @@ class TestPlumbing:
         assert code == 0
         assert lines[1].startswith(f"{cli.M_CAP},")
 
+    @pytest.mark.parametrize("argv,chunk", [
+        # ~290 KB, more than a pipe buffer: the write itself fails
+        (["gen", "--n", "100003"], 4096),
+        # a few bytes, the pipe closed before they are written
+        (["asym", "--fractions", "0.25"], 0),
+    ])
+    def test_closed_stdout_pipe_exits_one_quietly(self, argv, chunk):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-m", "islkit.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        if chunk:
+            assert proc.stdout.read(chunk)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, lines, _ = run(
@@ -533,22 +598,20 @@ _VALUES = {
     "--resolution": _one(st.one_of(st.integers(-2, 12), st.just(100000000))),
     "--m": _one(st.one_of(st.integers(-2, 6), st.just(cli.M_CAP + 1))),
     "--n-min": _one(_INTS),
-    "--n-max": _one(_INTS),
-    "--max-n": _one(st.integers(-1, 7)),
+    "--n-max": _one(st.one_of(_INTS, _HUGE)),
+    "--max-n": _one(st.one_of(st.integers(-1, 7), _HUGE)),
     "--seed": _one(st.integers(-2, 5)),
     "--output": _one(st.sampled_from(["@out", "@missing"])),
-    "--allow-large": st.just([]),
     "--optimal": st.just([]),
     "--bogus": st.just(["1"]),
 }
 _FLAGS = {
     "gen": ["--n", "--fraction", "--output"],
-    "isl": ["--n", "--fractions", "--allow-large", "--output"],
+    "isl": ["--n", "--fractions", "--output"],
     "asym": ["--fractions", "--output"],
     "surface": ["--resolution", "--output"],
-    "sweep": ["--m", "--fractions", "--optimal", "--n-min", "--n-max", "--allow-large",
-              "--output"],
-    "optimize": ["--m", "--exact-check", "--allow-large", "--output"],
+    "sweep": ["--m", "--fractions", "--optimal", "--n-min", "--n-max", "--output"],
+    "optimize": ["--m", "--exact-check", "--output"],
     "validate": ["--max-n", "--seed", "--output"],
     "bogus": [],
 }
