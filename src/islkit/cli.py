@@ -28,6 +28,15 @@ from .spectral import energy_matrix_spectral
 # and ~1.07 GB with 64.  The bound on M x N admits 128 rotations there
 # (~28 s, ~2.1 GB) and 55 at n = 2399993 (~19 s, ~2.2 GB).
 MAX_SET_ENTRIES = 2**27
+# sweep runs one exact ISL per prime; its work is estimated as M^2 n
+# (int64 Gram product) plus M n log2 n (FFTs), summed over every odd n in
+# range.  On a 2-core x86-64 host a unit costs 0.45-2.3 ns, the most at
+# M = 1, where per-prime overhead leads: M = 1 over n <= 50000 (1.0e10
+# units) took 18 s.  At the bound the slowest accepted sweep from n = 3 is
+# M = 1 to n = 31670 at 7.5 s; M = 4 to 14960 takes 4.3 s, M = 100 to 1204
+# 2.8 s, M = 1000 to 126 4.4 s, and the 8 rotations over 23..499 of the
+# README (8.5e6 units) 0.3 s.
+MAX_SWEEP_WORK = 4 * 10**9
 SPECTRAL_CHECK_MAX_N = 199
 # surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
 # peaks near 340 MB, and the cost grows with R^2.
@@ -105,6 +114,19 @@ def _check_size(m: int, n: int) -> None:
     if m * n > MAX_SET_ENTRIES:
         raise UsageError(f"{m} sequences of length {n} hold m*n={m * n} entries, "
                          f"more than the bound {MAX_SET_ENTRIES}")
+
+
+def _check_sweep_work(m: int, n_min: int, n_max: int) -> None:
+    # O(1), before any prime is listed; the sum runs over every odd n in
+    # range, an upper bound on the primes
+    lo, hi = max(n_min, 3) | 1, n_max - 1 + n_max % 2
+    if hi < lo:
+        return
+    sum_n = ((hi - lo) // 2 + 1) * (lo + hi) // 2
+    work = sum_n * (m * m + m * math.log2(hi))
+    if work > MAX_SWEEP_WORK:
+        raise UsageError(f"sweep of M={m} sequences over n in [{n_min}, {n_max}] needs "
+                         f"~{work:.3g} units of work, more than the bound {MAX_SWEEP_WORK}")
 
 
 def _check_m(m: int) -> int:
@@ -210,6 +232,7 @@ def cmd_sweep(args) -> int:
     if args.n_min > args.n_max:
         raise UsageError("--n-min must not exceed --n-max")
     _check_size(len(fractions), args.n_max)
+    _check_sweep_work(len(fractions), args.n_min, args.n_max)
     primes = primes_in_range(max(args.n_min, 3), args.n_max)
     if not primes:
         raise UsageError(f"no odd primes in [{args.n_min}, {args.n_max}]")

@@ -7,6 +7,7 @@ reports the worst observed deviation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,14 +137,27 @@ def check_periodic_bound(max_n: int, rng) -> CheckResult:
     return _result("periodic-bound", worst, 3.0, where)
 
 
-# floats in one block of the angle-by-term cosine matrix of dilog_series
-_DILOG_BLOCK = 200_000
+def _dilog_head(thetas: np.ndarray, terms: int) -> np.ndarray:
+    """Re sum_{k <= terms} z^k / k^2 at z = e^(i theta), by blocks."""
+    width = math.isqrt(terms - 1) + 1
+    k = np.arange(1, -(-terms // width) * width + 1, dtype=np.float64).reshape(-1, width)
+    # zero past the last term; complex, so the product runs as one BLAS call
+    weights = np.where(k <= terms, 1.0 / (k * k), 0.0).T.astype(np.complex128)
+    in_block = np.exp(1j * np.outer(thetas, np.arange(width))) @ weights
+    block_start = np.exp(1j * np.outer(thetas, k[:, 0]))
+    return np.sum(block_start * in_block, axis=1).real
 
 
 def dilog_series(thetas, terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Re sum_k z^k / k^2 at z = e^(i theta) from the first `terms` terms
     plus a closed-form tail estimate, with a bound on what the estimate
     misses.  Returns (values, bounds), one of each per angle.
+
+    The head runs over blocks k = k0 + j, j < w, of width w = ceil(sqrt K):
+    z^k = z^k0 z^j comes from an (angles x w) and an (angles x K/w) table
+    of exponentials, so the head is one complex matrix product against
+    the 1/k^2 weights and a sum over the blocks, in O(angles sqrt K)
+    memory.
 
     With K = terms, summation by parts gives the tail
     sum_{k>K} z^k / k^2 = z^(K+1) / ((1 - z)(K + 1)^2) + R; applying it
@@ -152,16 +166,19 @@ def dilog_series(thetas, terms: int) -> tuple[np.ndarray, np.ndarray]:
     |1 - z| < 1e-14 (z = 1 up to rounding) the tail is the
     Euler-Maclaurin sum 1/K - 1/(2K^2) + 1/(6K^3), short by less than
     1/(30 K^5) at z = 1 and by at most |1 - z| (1 + ln(2 / (K |1 - z|)))
-    < 1e-12 from z^k versus 1.  Each bound adds K * eps * pi^2/6 for the
-    rounding of the K-term sum and of its cosines.
+    < 1e-12 from z^k versus 1.
+
+    Rounding: a table entry e^(i theta m) is off by at most
+    eps (|theta| m / 2 + 2) (the rounded angle, then the exponential), so
+    a term z^k / k^2 (two entries, their product, the weight) is off by
+    at most eps (|theta| k / 2 + 8) / k^2, which sums to
+    eps (|theta| (1 + ln K) / 2 + 8 pi^2/6) over the head.  The matrix
+    product and the block sum add at most 2 (w + K/w + 2) eps pi^2/6.
+    Both together stay under the K * eps * pi^2/6 each bound adds for
+    K >= 100 and |theta| <= 2 pi (at K = 100: 104 eps against 164 eps).
     """
     thetas = np.asarray(thetas, dtype=np.float64)
-    k = np.arange(1, terms + 1)
-    inv_k2 = 1.0 / (k * k)
-    head = np.empty(len(thetas))
-    step = max(1, _DILOG_BLOCK // terms)
-    for i in range(0, len(thetas), step):
-        head[i:i + step] = np.cos(np.outer(thetas[i:i + step], k)) @ inv_k2
+    head = _dilog_head(thetas, terms)
 
     one_minus_z = 1.0 - np.exp(1j * thetas)
     gap = np.abs(one_minus_z)

@@ -297,6 +297,32 @@ class TestSweep:
         assert lines == []
         assert "overflow int64" in err
 
+    def test_wide_range_refused_before_listing_primes(self, capsys):
+        # n <= 2399993 passes the size bound; one isl per prime would take hours
+        start = time.perf_counter()
+        code, lines, err = run(capsys, "sweep", "--fractions", "0.1",
+                               "--n-min", "3", "--n-max", "2399993")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert lines == []
+        assert f"more than the bound {cli.MAX_SWEEP_WORK}" in err
+
+    def test_thousand_rotations_to_2000_refused(self, capsys):
+        fractions = [str(i / cli.M_CAP) for i in range(cli.M_CAP)]
+        code, lines, err = run(capsys, "sweep", "--fractions", *fractions,
+                               "--n-min", "3", "--n-max", "2000")
+        assert code == 1
+        assert lines == []
+        assert f"more than the bound {cli.MAX_SWEEP_WORK}" in err
+
+    def test_benchmark_shape_accepted(self, capsys):
+        # 8 fractions over 23..499, as the sweep-small workload runs it
+        fractions = ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8"]
+        code, lines, _ = run(capsys, "sweep", "--fractions", *fractions,
+                             "--n-min", "23", "--n-max", "499")
+        assert code == 0
+        assert len(lines) == 1 + 87  # header plus the primes 23..499
+
     @pytest.mark.parametrize("m", ["0", "-3", str(cli.M_CAP + 1)])
     def test_optimal_m_out_of_range_exits_one(self, capsys, m):
         code, _, err = run(
@@ -418,6 +444,20 @@ class TestValidate:
         assert "dilog-series" in err
         fail_lines = [l for l in lines if l.startswith("FAIL")]
         assert len(fail_lines) == 1 and "dilog-series" in fail_lines[0]
+
+    @pytest.mark.parametrize("module,name,check", [
+        (islkit.spectral, "interpolate_negated_root", "lagrange-interpolation"),
+        (islkit.spectral, "energy_matrix_spectral", "spectral-vs-direct"),
+    ])
+    def test_corrupted_closed_form_fails_only_its_check(self, capsys, monkeypatch,
+                                                        module, name, check):
+        true_fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: true_fn(*args) * (1 + 1e-6))
+        code, lines, err = run(capsys, "validate", "--max-n", "13")
+        assert code == 2
+        assert check in err
+        fail_lines = [l for l in lines if l.startswith("FAIL")]
+        assert len(fail_lines) == 1 and check in fail_lines[0]
 
     @pytest.mark.parametrize("max_n", ["13", "61"])
     def test_eight_checks_in_order(self, capsys, max_n):
@@ -567,7 +607,8 @@ class TestPlumbing:
 
 # Flags each command takes, with a strategy for the tokens that follow.
 # Sizes stay small (n <= 60 or far past every bound) so an example runs
-# in milliseconds; validate at --max-n 7 is the slowest at ~0.1 s.
+# in milliseconds; validate at --max-n 7 takes ~0.01 s (~0.05 s on its
+# first call in a process).
 def _one(values):
     return values.map(lambda v: [str(v)])
 
@@ -591,7 +632,7 @@ _VALUES = {
     "--exact-check": _one(st.one_of(_INTS, _HUGE)),
     "--fraction": _one(_FRACTION),
     # an accepted list at the bound costs sweep one 1000 x 1000 Gram
-    # product per prime, ~0.75 s over n <= 60, so the long lists sit just
+    # product per prime, ~1.5 s over n <= 60, so the long lists sit just
     # past the bound and each example stays in milliseconds
     "--fractions": st.one_of(st.lists(_FRACTION, min_size=0, max_size=4),
                              _repeated(st.just(cli.M_CAP + 1))),
@@ -628,7 +669,7 @@ def _argv(draw):
     pool = _FLAGS[command] + ["--bogus"]
     argv = [command]
     if command == "validate":
-        # the default --max-n 61 takes ~0.2 s
+        # the default --max-n 61 takes ~0.05 s, five times --max-n 7
         argv += ["--max-n", *draw(_VALUES["--max-n"])]
     for flag in draw(st.lists(st.sampled_from(pool), max_size=6)):
         if (command, flag) == ("asym", "--fractions"):

@@ -86,7 +86,21 @@ class TestDilogSeries:
         assert result.max_error < 1e-10
 
     def test_blocks_cover_every_angle(self):
-        # more angles than one block holds, in an order that is not sorted
+        # unsorted angles, and a term count whose last block is padded
         thetas = np.random.default_rng(7).uniform(0.5, 5.5, 37)
         value, bound = dilog_series(thetas, 50_000)
         assert np.all(np.abs(value - re_dilog_on_circle(thetas)) <= bound)
+
+
+class TestRunValidation:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_workload_depth_passes_at_unchanged_tolerances(self, seed):
+        # the depth validate runs at in the benchmark: --max-n 199
+        results = selfcheck.run_validation(199, seed)
+        assert [r.name for r in results] == [
+            "spectral-vs-direct", "kernel-twin", "gauss-sum-closed-form",
+            "gauss-sum-magnitude", "periodic-bound", "dilog-series",
+            "lagrange-interpolation", "pattern-decomposition"]
+        assert all(r.passed for r in results), results
+        assert tuple(r.tolerance for r in results) == (
+            1e-9, 1e-8, 1e-9, 1e-6, 3.0, 1e-10, 1e-8, 1e-6)
