@@ -20,12 +20,7 @@ from .correlation import (
     isl_report,
     periodic_autocorrelation,
 )
-from .optimize import (
-    ExactCheck,
-    OptResult,
-    exact_validate,
-    optimize_rotations,
-)
+from .optimize import OptResult, optimize_rotations
 from .sequences import (
     RotationSet,
     bind_rotations,
@@ -38,8 +33,7 @@ from .sequences import (
 )
 from .spectral import (
     PatternSums,
-    auto_sidelobe_energy_spectral,
-    cross_energy_spectral,
+    energy_matrix_spectral,
     gf_at_negated_roots,
     gf_at_roots,
     gf_eval,
@@ -55,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticIsl",
-    "ExactCheck",
     "IslReport",
     "OptResult",
     "PatternSums",
@@ -63,12 +56,10 @@ __all__ = [
     "aperiodic_correlation",
     "auto_energy_limit",
     "auto_sidelobe_energy",
-    "auto_sidelobe_energy_spectral",
     "bind_rotations",
     "cross_energy",
     "cross_energy_limit",
-    "cross_energy_spectral",
-    "exact_validate",
+    "energy_matrix_spectral",
     "gf_at_negated_roots",
     "gf_at_roots",
     "gf_eval",

@@ -54,7 +54,6 @@ class AsymptoticIsl:
     """Normalized (ISL / n^2) asymptotic value of a rotation set, split
     into auto and cross parts; arrays over the leading axes for a batch."""
 
-    fractions: tuple[float, ...] | np.ndarray
     auto_part: float | np.ndarray
     cross_part: float | np.ndarray
 
@@ -69,8 +68,7 @@ def isl_limit(fractions) -> AsymptoticIsl:
     fractions has shape (M,) or (..., M).  Cross terms run over ordered
     pairs (p, q), p != q, so each unordered pair contributes twice,
     mirroring the term structure of the exact report.  A single set gives
-    float parts and a tuple of fractions; a batch gives arrays over its
-    leading axes.
+    float parts; a batch gives arrays over its leading axes.
     """
     f = check_fractions(fractions)
     if f.ndim == 0 or f.shape[-1] == 0:
@@ -83,6 +81,5 @@ def isl_limit(fractions) -> AsymptoticIsl:
     auto = np.cumsum(_auto(f), axis=-1)[..., -1]
     cross = np.cumsum(pair.reshape(*f.shape[:-1], -1), axis=-1)[..., -1]
     if f.ndim == 1:
-        return AsymptoticIsl(fractions=tuple(f.tolist()), auto_part=float(auto),
-                             cross_part=float(cross))
-    return AsymptoticIsl(fractions=f, auto_part=auto, cross_part=cross)
+        return AsymptoticIsl(auto_part=float(auto), cross_part=float(cross))
+    return AsymptoticIsl(auto_part=auto, cross_part=cross)

@@ -18,7 +18,7 @@ import numpy as np
 from . import selfcheck
 from .asymptotic import isl_limit
 from .correlation import MAX_EXACT_N, RoundingResidualError, isl_report
-from .optimize import exact_validate, optimize_rotations
+from .optimize import optimize_rotations
 from .sequences import bind_rotations, check_fractions, is_prime, primes_in_range
 from .spectral import energy_matrix_spectral
 
@@ -223,12 +223,10 @@ def cmd_sweep(args) -> int:
         if args.m is None:
             raise UsageError("--optimal requires --m")
         fractions = list(optimize_rotations(_check_m(args.m)).fractions)
-    elif args.fractions:
+    else:
         fractions = parse_fraction_list(args.fractions)
         if args.m is not None and args.m != len(fractions):
             raise UsageError(f"--m {args.m} contradicts {len(fractions)} fractions")
-    else:
-        raise UsageError("sweep needs --fractions or --optimal")
     if args.n_min > args.n_max:
         raise UsageError("--n-min must not exceed --n-max")
     _check_size(len(fractions), args.n_max)
@@ -256,12 +254,12 @@ def cmd_optimize(args) -> int:
     if args.exact_check is not None:
         n = _require_prime(args.exact_check)
         _check_size(args.m, n)
-        result = exact_validate(result, n)
-        chk = result.exact_check
-        rel = abs(chk.normalized - result.asym_value) / result.asym_value
+        rset = bind_rotations(result.fractions, n)
+        normalized = isl_report(rset.sequences()).normalized
+        rel = abs(normalized - result.asym_value) / result.asym_value
         lines.append(
-            f"exact-check N={chk.n} offsets={','.join(map(str, chk.offsets))} "
-            f"normalized={fmt(chk.normalized)} rel_err={fmt(rel)}"
+            f"exact-check N={n} offsets={','.join(map(str, rset.offsets))} "
+            f"normalized={fmt(normalized)} rel_err={fmt(rel)}"
         )
     _emit(lines, args.output)
     return 0
@@ -312,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exact vs asymptotic ISL over a prime range")
     p.add_argument("--m", type=int, default=None, help="set size (with --optimal)")
-    p.add_argument("--fractions", nargs="+", default=None)
-    p.add_argument("--optimal", action="store_true",
-                   help="use rotations minimizing the asymptotic ISL")
+    rotations = p.add_mutually_exclusive_group(required=True)
+    rotations.add_argument("--fractions", nargs="+")
+    rotations.add_argument("--optimal", action="store_true",
+                           help="use rotations minimizing the asymptotic ISL")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.set_defaults(func=cmd_sweep)

@@ -29,22 +29,9 @@ Jensen, IEEE Trans. Inf. Theory 34(1), 1988).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .asymptotic import isl_limit
-from .correlation import isl_report
-from .sequences import bind_rotations
-
-
-@dataclass(frozen=True)
-class ExactCheck:
-    """Exact ISL of the rotation set realized at a concrete prime length."""
-
-    n: int
-    offsets: tuple[int, ...]
-    realized_fractions: tuple[float, ...]
-    total: int
-    normalized: float
 
 
 @dataclass(frozen=True)
@@ -58,7 +45,6 @@ class OptResult:
     fractions: tuple[float, ...]
     asym_value: float
     refinement_steps: int = 0
-    exact_check: ExactCheck | None = None
 
 
 def optimize_rotations(m: int) -> OptResult:
@@ -68,17 +54,3 @@ def optimize_rotations(m: int) -> OptResult:
         raise ValueError(f"m must be >= 1, got {m}")
     fractions = tuple((2 * p - 1) / (4 * m) for p in range(1, m + 1))
     return OptResult(fractions=fractions, asym_value=isl_limit(fractions).total)
-
-
-def exact_validate(result: OptResult, n: int) -> OptResult:
-    """Realize the rotations at prime length n and attach the exact ISL."""
-    rset = bind_rotations(result.fractions, n)
-    report = isl_report(rset.sequences())
-    check = ExactCheck(
-        n=n,
-        offsets=rset.offsets,
-        realized_fractions=rset.fractions,
-        total=report.total,
-        normalized=report.normalized,
-    )
-    return replace(result, exact_check=check)

@@ -190,18 +190,23 @@ def dilog_series(thetas, terms: int) -> tuple[np.ndarray, np.ndarray]:
     return head + tail, bound + terms * np.finfo(np.float64).eps * np.pi**2 / 6
 
 
-def check_dilog_series(rng, grid: int = 101, terms: int = 20_000) -> CheckResult:
+DILOG_GRID = 101
+DILOG_TERMS = 20_000
+
+
+def check_dilog_series(rng) -> CheckResult:
     """Closed-form Re Li2(e^(i theta)) against its series on a grid of
-    angles in (-2 pi, 2 pi), through the tail-corrected dilog_series.
+    DILOG_GRID angles in (-2 pi, 2 pi), through the tail-corrected
+    dilog_series with K = DILOG_TERMS.
 
     The tolerance is the largest remainder bound over the grid, rounded
-    up to a power of ten.  The default grid holds theta = 0 exactly, and
-    every other angle has |1 - z| >= 2 sin(pi / 51) > 0.123; at K = 20 000
-    the bound is 4 / (20001^3 * 0.123^2) + 20 000 * eps * pi^2/6 < 4.1e-11,
+    up to a power of ten.  The grid holds theta = 0 exactly, and every
+    other angle has |1 - z| >= 2 sin(pi / 51) > 0.123; at K = 20 000 the
+    bound is 4 / (20001^3 * 0.123^2) + 20 000 * eps * pi^2/6 < 4.1e-11,
     so the tolerance is 1e-10.
     """
-    thetas = np.linspace(-2 * np.pi, 2 * np.pi, grid + 2)[1:-1]
-    series, bound = dilog_series(thetas, terms)
+    thetas = np.linspace(-2 * np.pi, 2 * np.pi, DILOG_GRID + 2)[1:-1]
+    series, bound = dilog_series(thetas, DILOG_TERMS)
     err = np.abs(re_dilog_on_circle(thetas) - series)
     i = int(np.argmax(err))
     tol = float(10.0 ** np.ceil(np.log10(bound.max())))

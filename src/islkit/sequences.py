@@ -122,13 +122,8 @@ def check_fractions(fractions) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RotationSet:
-    """M rotation offsets bound to an odd prime length n.
+    """M rotation offsets bound to an odd prime length n."""
 
-    fractions are re-derived as t/n so the exact and asymptotic paths
-    see identical rotation values.
-    """
-
-    fractions: tuple[float, ...]
     offsets: tuple[int, ...]
     n: int
 
@@ -145,8 +140,4 @@ def bind_rotations(fractions, n: int) -> RotationSet:
     _require_odd_prime(n)
     fr = check_fractions(fractions).tolist()
     offsets = tuple(round_half_up(f * n) % n for f in fr)
-    return RotationSet(
-        fractions=tuple(t / n for t in offsets),
-        offsets=offsets,
-        n=n,
-    )
+    return RotationSet(offsets=offsets, n=n)

@@ -14,7 +14,6 @@ which collapses to O(n^2) sums; every closed form has a direct twin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,12 +21,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .sequences import _require_odd_prime
 
 
-@lru_cache(maxsize=32)
 def roots_of_unity(n: int) -> np.ndarray:
-    """The n complex numbers exp(2*pi*i*j/n), j = 0..n-1 (read-only array)."""
-    r = np.exp(2j * np.pi * np.arange(n) / n)
-    r.flags.writeable = False
-    return r
+    """The n complex numbers exp(2*pi*i*j/n), j = 0..n-1."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def _require_odd(n: int) -> None:
@@ -77,7 +73,8 @@ def _gf_at_double_roots(a: np.ndarray) -> np.ndarray:
 
 
 def gf_at_negated_roots(seq) -> np.ndarray:
-    """Generating-function values at -eps_j, j = 0..n-1.
+    """Generating-function values at -eps_j, j = 0..n-1: the points
+    S_minus sums over in the cross energy (S_plus + S_minus) / 2n.
 
     -eps_j = exp(2 pi i (2j + n) / 2n) is the 2n-th root at bin
     (2j + n) mod 2n of the length-2n transform; for odd n these are the
@@ -108,13 +105,15 @@ def _power_product_sum(qa: np.ndarray, qb: np.ndarray) -> float:
 
 
 def power_sum_at_roots(a, b) -> float:
-    """sum_j |Q_a(eps_j) Q_b*(eps_j)|^2 over the n-th roots of unity."""
+    """S_plus = sum_j |Q_a(eps_j) Q_b*(eps_j)|^2 over the n-th roots of
+    unity, one half of the cross energy sum_k X_ab(k)^2 = (S_plus + S_minus) / 2n."""
     a, b, _ = _as_pair(a, b)
     return _power_product_sum(gf_at_roots(a), gf_at_roots(b))
 
 
 def power_sum_at_negated_roots(a, b) -> float:
-    """sum_j |Q_a(-eps_j) Q_b*(-eps_j)|^2, evaluated directly at the
+    """S_minus = sum_j |Q_a(-eps_j) Q_b*(-eps_j)|^2, the other half of
+    sum_k X_ab(k)^2 = (S_plus + S_minus) / 2n, evaluated directly at the
     negated roots (the twin of the pattern-sum reconstruction)."""
     a, b, _ = _as_pair(a, b)
     return _power_product_sum(gf_at_negated_roots(a), gf_at_negated_roots(b))
@@ -147,24 +146,14 @@ def interpolate_negated_root(at_roots, j):
 def energy_matrix_spectral(rows) -> np.ndarray:
     """(M, M) cross-correlation energies, all lags, of M rows of odd
     length n: S_plus + S_minus is the Gram matrix of the rows' |Q|^2 over
-    the 2n-th roots (one length-2n FFT per row), and the energy is 1/2n of it."""
+    the 2n-th roots (one length-2n FFT per row), and the energy is 1/2n of it.
+    The diagonal minus n^2 (the lag-0 mainlobe) is each row's auto
+    sidelobe energy."""
     n = np.shape(rows)[-1]
     _require_odd(n)
     q = _gf_at_double_roots(np.asarray(rows))
     power = (q * q.conj()).real
     return power @ power.T / (2 * n)
-
-
-def cross_energy_spectral(a, b) -> float:
-    """Sum of squared cross-correlations over all lags, spectrally."""
-    a, b, _ = _as_pair(a, b)
-    return float(energy_matrix_spectral([a, b])[0, 1])
-
-
-def auto_sidelobe_energy_spectral(a) -> float:
-    """Autocorrelation sidelobe energy via the spectral path: the full
-    lag sum minus the n^2 mainlobe."""
-    return float(energy_matrix_spectral([a])[0, 0]) - float(len(a)) ** 2
 
 
 def kernel_sums_direct(quads, n: int) -> np.ndarray:
@@ -286,7 +275,7 @@ def pattern_decomposition(a, b) -> PatternSums:
     the matrix of inverse root differences.  Time and memory are O(n^2).
     """
     a, b, n = _as_pair(a, b)
-    eps = np.asarray(roots_of_unity(n))
+    eps = roots_of_unity(n)
     qa = gf_at_roots(a)
     qb = gf_at_roots(b)
     qac = qa.conj()

@@ -43,7 +43,7 @@ def test_criterion_01_spectral_identity():
             a = rng.choice([-1, 1], n)
             b = rng.choice([-1, 1], n)
             direct = ik.cross_energy(a, b)
-            spectral = ik.cross_energy_spectral(a, b)
+            spectral = ik.energy_matrix_spectral([a, b])[0, 1]
             assert abs(spectral - direct) <= 1e-9 * direct, (n, direct, spectral)
 
 

@@ -259,6 +259,19 @@ class TestSweep:
         assert code == 1
         assert "no odd primes" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--optimal", "--m", "2", "--fractions", "0.1", "0.9"],  # once dropped the fractions
+        [],
+    ], ids=["both", "neither"])
+    def test_needs_exactly_one_of_fractions_and_optimal(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", *argv, "--n-min", "23", "--n-max", "31"])
+        out = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out.out == ""
+        assert "--fractions" in out.err and "--optimal" in out.err
+        assert "Traceback" not in out.err
+
     def test_optimal_requires_m(self, capsys):
         code, _, err = run(capsys, "sweep", "--optimal", "--n-min", "7", "--n-max", "20")
         assert code == 1

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from islkit.asymptotic import isl_limit
-from islkit.optimize import exact_validate, optimize_rotations
+from islkit.correlation import isl_report
+from islkit.optimize import optimize_rotations
+from islkit.sequences import bind_rotations
 
 
 def optimum(m):
@@ -112,20 +114,21 @@ class TestOptimizeRotations:
 
 
 class TestExactValidate:
+    # the optimum realized at a prime length, as optimize --exact-check does
     def test_single_rotation_near_limit(self):
         res = optimize_rotations(1)
-        checked = exact_validate(res, 101)
-        chk = checked.exact_check
-        assert chk.n == 101
-        assert chk.offsets == (25,)
-        assert chk.realized_fractions == (25 / 101,)
+        rset = bind_rotations(res.fractions, 101)
+        report = isl_report(rset.sequences())
+        assert rset.n == 101
+        assert rset.offsets == (25,)
+        assert tuple(t / rset.n for t in rset.offsets) == (25 / 101,)
         # moderate n: within 15% of the asymptotic value
-        assert abs(chk.normalized - res.asym_value) <= 0.15 * res.asym_value
+        assert abs(report.normalized - res.asym_value) <= 0.15 * res.asym_value
 
     def test_error_shrinks_with_n(self):
         res = optimize_rotations(2)
-        small = exact_validate(res, 101).exact_check
-        large = exact_validate(res, 997).exact_check
+        small = isl_report(bind_rotations(res.fractions, 101).sequences())
+        large = isl_report(bind_rotations(res.fractions, 997).sequences())
         err_small = abs(small.normalized - res.asym_value)
         err_large = abs(large.normalized - res.asym_value)
         assert err_large < err_small
@@ -133,4 +136,4 @@ class TestExactValidate:
     def test_rejects_nonprime(self):
         res = optimize_rotations(1)
         with pytest.raises(ValueError):
-            exact_validate(res, 100)
+            bind_rotations(res.fractions, 100)

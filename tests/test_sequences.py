@@ -156,13 +156,15 @@ class TestBindRotations:
     def test_examples(self):
         rs = bind_rotations([0.25], 101)
         assert rs.offsets == (25,)
-        assert rs.fractions == (25 / 101,)
+        assert rs.n == 101
         assert bind_rotations([0.0], 7).offsets == (0,)
         assert bind_rotations([0.5, 0.75], 7).offsets == (4, 5)
 
     def test_fractions_rederived(self):
+        # each offset, read back as t / n, is the nearest to its fraction
         rs = bind_rotations([0.1, 0.9], 13)
-        assert rs.fractions == tuple(t / 13 for t in rs.offsets)
+        assert rs.offsets == (1, 12)
+        assert all(abs(t / 13 - f) <= 0.5 / 13 for t, f in zip(rs.offsets, (0.1, 0.9)))
         assert all(0 <= t < 13 for t in rs.offsets)
 
     def test_rejects_out_of_range(self):
@@ -173,7 +175,7 @@ class TestBindRotations:
     def test_full_turn_binds_to_offset_zero(self):
         for f in (1.0, 1.0 - 1e-12):
             rs = bind_rotations([f], 7)
-            assert rs.offsets == (0,) and rs.fractions == (0.0,)
+            assert rs.offsets == (0,) and rs.n == 7
 
     def test_rejects_nonprime_length(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,6 @@ from islkit.correlation import auto_sidelobe_energy, cross_energy
 from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 from islkit.spectral import (
     _one_pair_triple_sum,
-    auto_sidelobe_energy_spectral,
-    cross_energy_spectral,
     energy_matrix_spectral,
     gf_at_negated_roots,
     gf_at_roots,
@@ -267,7 +265,7 @@ class TestInterpolateNegatedRoot:
 
 class TestCrossEnergySpectral:
     def test_hand_example(self):
-        assert cross_energy_spectral([1, 1, -1], [1, -1, 1]) == pytest.approx(7.0)
+        assert energy_matrix_spectral([[1, 1, -1], [1, -1, 1]])[0, 1] == pytest.approx(7.0)
 
     def test_matches_direct(self):
         rng = np.random.default_rng(8)
@@ -275,13 +273,13 @@ class TestCrossEnergySpectral:
             a = rng.choice([-1, 1], n)
             b = rng.choice([-1, 1], n)
             direct = cross_energy(a, b)
-            assert abs(cross_energy_spectral(a, b) - direct) <= 1e-9 * direct
+            assert abs(energy_matrix_spectral([a, b])[0, 1] - direct) <= 1e-9 * direct
 
     def test_self_pair_includes_mainlobe(self):
         rng = np.random.default_rng(9)
         a = rng.choice([-1, 1], 11)
         expected = auto_sidelobe_energy(a) + 121
-        assert cross_energy_spectral(a, a) == pytest.approx(expected, rel=1e-12)
+        assert energy_matrix_spectral([a, a])[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_splits_into_root_and_negated_root_sums(self):
         # the 2n-bin sum is S_plus (even bins) plus S_minus (odd bins)
@@ -290,14 +288,14 @@ class TestCrossEnergySpectral:
             a = rng.choice([-1, 1], n)
             b = rng.choice([-1, 1], n)
             halves = (power_sum_at_roots(a, b) + power_sum_at_negated_roots(a, b)) / (2 * n)
-            assert cross_energy_spectral(a, b) == pytest.approx(halves, rel=1e-12)
+            assert energy_matrix_spectral([a, b])[0, 1] == pytest.approx(halves, rel=1e-12)
 
     def test_large_n_matches_direct(self):
         n = 4999
         ell = legendre_sequence(n)
         a, b = rotate_left(ell, 500), rotate_left(ell, 1751)
         direct = cross_energy(a, b)
-        assert abs(cross_energy_spectral(a, b) - direct) <= 1e-9 * direct
+        assert abs(energy_matrix_spectral([a, b])[0, 1] - direct) <= 1e-9 * direct
 
 
 class TestEnergyMatrixSpectral:
@@ -313,20 +311,15 @@ class TestEnergyMatrixSpectral:
                     direct = cross_energy(rows[p], rows[q])
                     assert abs(energies[p, q] - direct) <= 1e-9 * direct
 
-    def test_pair_functions_read_the_matrix(self):
-        rng = np.random.default_rng(13)
-        a, b = rng.choice([-1, 1], (2, 31))
-        assert cross_energy_spectral(a, b) == energy_matrix_spectral([a, b])[0, 1]
-        assert auto_sidelobe_energy_spectral(a) == energy_matrix_spectral([a])[0, 0] - 31.0**2
-
     def test_even_length_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             energy_matrix_spectral(np.ones((2, 4)))
 
 
 class TestAutoSidelobeEnergySpectral:
+    # the diagonal minus the n^2 mainlobe is the auto sidelobe energy
     def test_hand_example(self):
-        assert auto_sidelobe_energy_spectral([1, 1, -1]) == pytest.approx(2.0)
+        assert energy_matrix_spectral([[1, 1, -1]])[0, 0] - 3**2 == pytest.approx(2.0)
 
     def test_matches_direct_for_rotated_legendre(self):
         rng = np.random.default_rng(10)
@@ -334,14 +327,15 @@ class TestAutoSidelobeEnergySpectral:
             t = int(rng.integers(0, n))
             seq = rotate_left(legendre_sequence(n), t)
             direct = auto_sidelobe_energy(seq)
-            assert abs(auto_sidelobe_energy_spectral(seq) - direct) <= 1e-9 * max(direct, 1.0)
+            spectral = energy_matrix_spectral([seq])[0, 0] - n**2
+            assert abs(spectral - direct) <= 1e-9 * max(direct, 1.0)
 
     def test_quarter_rotation_near_sixth(self):
         # the merit-factor-6 rotation: sidelobe energy close to n^2/6,
         # identical through both evaluation paths
         n = 1009
         seq = rotate_left(legendre_sequence(n), 252)  # 252 = round(n / 4)
-        spectral = auto_sidelobe_energy_spectral(seq)
+        spectral = energy_matrix_spectral([seq])[0, 0] - n**2
         direct = auto_sidelobe_energy(seq)
         assert abs(spectral - direct) <= 1e-9 * direct
         assert abs(spectral / n**2 - 1 / 6) <= 0.03 * (1 / 6)
