@@ -160,14 +160,17 @@ def _isl_spectral_crosscheck(report, seqs) -> None:
     direct = report.cross_terms + np.diag(report.auto_terms)
     spectral = energy_matrix_spectral(seqs) - report.n**2 * np.eye(report.m)
     err = np.abs(spectral - direct) / np.maximum(np.abs(direct), 1.0)
-    worst = np.unravel_index(np.argmax(err), err.shape)
-    if err[worst] > 1e-9:
-        p, q = sorted(worst)
+
+    def label(i):
+        at = np.unravel_index(i, err.shape)
+        p, q = sorted(at)
         name = f"auto[{p}]" if p == q else f"cross[{p},{q}]"
-        raise ValidationFailure(
-            f"spectral cross-check failed for {name}: direct={direct[worst]} "
-            f"spectral={float(spectral[worst])!r} rel_err={err[worst]:.3e}"
-        )
+        return f"{name}: direct={direct[at]} spectral={float(spectral[at])!r}"
+
+    result = selfcheck.worst_error("isl-spectral-crosscheck", 1e-9, [(err, label)])
+    if not result.passed:
+        raise ValidationFailure(f"spectral cross-check failed for {result.worst_input} "
+                                f"rel_err={result.max_error:.3e}")
 
 
 def cmd_isl(args) -> int:
@@ -181,7 +184,7 @@ def cmd_isl(args) -> int:
         _isl_spectral_crosscheck(report, seqs)
     # Python ints: exact at any n, and the same digits as fmt below 10^12
     auto_part = sum(report.auto_terms.tolist())
-    cross_part = sum(report.cross_terms.ravel().tolist())
+    cross_part = report.total - auto_part
     lines = [
         "N,M,total,normalized,auto_part,cross_part",
         ",".join(

@@ -27,14 +27,24 @@ class CheckResult:
     worst_input: str
 
 
-def _result(name, max_error, tolerance, worst_input) -> CheckResult:
-    return CheckResult(
-        name=name,
-        max_error=float(max_error),
-        tolerance=tolerance,
-        passed=bool(max_error <= tolerance),
-        worst_input=worst_input,
-    )
+def worst_error(name: str, tolerance: float, batches) -> CheckResult:
+    """Judge a check by its worst error over all its inputs.
+
+    batches yields (errors, label) pairs: an array or a scalar of
+    errors, and label(i), which names entry i of the flattened errors
+    and is called before the next batch is drawn.  Ties keep the first
+    strict maximum, within a batch and across batches.  A NaN error
+    counts as the worst: the first NaN makes max_error NaN, fails the
+    check and is the input named.
+    """
+    worst, where = 0.0, ""
+    for errors, label in batches:
+        errors = np.ravel(errors)
+        i = int(np.argmax(errors))  # the first NaN if there is one
+        err = float(errors[i])
+        if err > worst or (math.isnan(err) and not math.isnan(worst)):
+            worst, where = err, label(i)
+    return CheckResult(name, worst, tolerance, worst <= tolerance, where)
 
 
 # the five coincidence patterns over four distinct draws (p, q, r, s):
@@ -75,66 +85,53 @@ def random_quads(rng, n: int, count: int) -> np.ndarray:
 
 
 def check_spectral_vs_direct(max_n: int, rng) -> CheckResult:
-    worst, where = 0.0, ""
-    for n in range(3, max_n + 1, 2):
-        rows = rng.choice([-1, 1], (10, n))  # pairs (0, 1), (2, 3), ...
-        energies = spectral.energy_matrix_spectral(rows)
-        for i in range(0, 10, 2):
-            direct = cross_energy(rows[i], rows[i + 1])
-            err = abs(energies[i, i + 1] - direct) / abs(direct)
-            if err > worst:
-                worst, where = err, f"n={n}"
-    return _result("spectral-vs-direct", worst, 1e-9, where)
+    def batches():
+        for n in range(3, max_n + 1, 2):
+            rows = rng.choice([-1, 1], (10, n))  # pairs (0, 1), (2, 3), ...
+            pairs = spectral.energy_matrix_spectral(rows)[range(0, 10, 2), range(1, 10, 2)]
+            direct = np.array([cross_energy(rows[i], rows[i + 1]) for i in range(0, 10, 2)])
+            yield np.abs(pairs - direct) / np.abs(direct), lambda i: f"n={n}"
+    return worst_error("spectral-vs-direct", 1e-9, batches())
 
 
 def check_kernel_twin(max_n: int, rng) -> CheckResult:
-    worst, where = 0.0, ""
-    for n in range(5, max_n + 1, 2):
-        quads = random_quads(rng, n, 500)
-        direct = spectral.kernel_sums_direct(quads, n)
-        closed = spectral.kernel_sums_closed_form(quads, n)
-        err = np.abs(closed - direct) / (1.0 + np.abs(direct))
-        i = int(np.argmax(err))
-        if err[i] > worst:
-            worst, where = float(err[i]), f"n={n} quad={tuple(quads[i])}"
-    return _result("kernel-twin", worst, 1e-8, where)
+    def batches():
+        for n in range(5, max_n + 1, 2):
+            quads = random_quads(rng, n, 500)
+            direct = spectral.kernel_sums_direct(quads, n)
+            closed = spectral.kernel_sums_closed_form(quads, n)
+            yield (np.abs(closed - direct) / (1.0 + np.abs(direct)),
+                   lambda i: f"n={n} quad={tuple(quads[i].tolist())}")
+    return worst_error("kernel-twin", 1e-8, batches())
 
 
 def check_gauss_sum_closed_form(max_n: int, rng) -> CheckResult:
-    worst, where = 0.0, ""
-    for n in primes_in_range(3, max_n):
-        ell = legendre_sequence(n)
-        at_roots = spectral.gf_at_roots(ell)
-        closed = spectral.legendre_gf_closed_form(n, np.arange(n), ell)
-        err = np.abs(closed - at_roots) / (1.0 + np.abs(at_roots))
-        i = int(np.argmax(err))
-        if err[i] > worst:
-            worst, where = float(err[i]), f"n={n} j={i}"
-    return _result("gauss-sum-closed-form", worst, 1e-9, where)
+    def batches():
+        for n in primes_in_range(3, max_n):
+            ell = legendre_sequence(n)
+            at_roots = spectral.gf_at_roots(ell)
+            closed = spectral.legendre_gf_closed_form(n, np.arange(n), ell)
+            yield np.abs(closed - at_roots) / (1.0 + np.abs(at_roots)), lambda j: f"n={n} j={j}"
+    return worst_error("gauss-sum-closed-form", 1e-9, batches())
 
 
 def check_gauss_sum_magnitude(max_n: int, rng) -> CheckResult:
     """|Q(eps_j) - 1|^2 must equal n exactly for every j != 0."""
-    worst, where = 0.0, ""
-    for n in primes_in_range(3, max_n):
-        offsets = spectral.gf_at_roots(legendre_sequence(n))[1:] - 1.0
-        err = np.abs(np.abs(offsets) ** 2 - n) / n
-        i = int(np.argmax(err))
-        if err[i] > worst:
-            worst, where = float(err[i]), f"n={n} j={i + 1}"
-    return _result("gauss-sum-magnitude", worst, 1e-6, where)
+    def batches():
+        for n in primes_in_range(3, max_n):
+            offsets = spectral.gf_at_roots(legendre_sequence(n))[1:] - 1.0
+            yield np.abs(np.abs(offsets) ** 2 - n) / n, lambda i: f"n={n} j={i + 1}"
+    return worst_error("gauss-sum-magnitude", 1e-6, batches())
 
 
 def check_periodic_bound(max_n: int, rng) -> CheckResult:
     """Cyclic autocorrelation of a Legendre sequence stays within 3 in
     magnitude at every nonzero lag."""
-    worst, where = 0.0, ""
-    for n in primes_in_range(3, max_n):
-        c = periodic_autocorrelation(legendre_sequence(n))
-        i = int(np.argmax(np.abs(c)))
-        if abs(c[i]) > worst:
-            worst, where = float(abs(c[i])), f"n={n} k={i + 1}"
-    return _result("periodic-bound", worst, 3.0, where)
+    def batches():
+        for n in primes_in_range(3, max_n):
+            c = periodic_autocorrelation(legendre_sequence(n))
+            yield np.abs(c), lambda i: f"n={n} k={i + 1}"
+    return worst_error("periodic-bound", 3.0, batches())
 
 
 def _dilog_head(thetas: np.ndarray, terms: int) -> np.ndarray:
@@ -208,39 +205,35 @@ def check_dilog_series(rng) -> CheckResult:
     thetas = np.linspace(-2 * np.pi, 2 * np.pi, DILOG_GRID + 2)[1:-1]
     series, bound = dilog_series(thetas, DILOG_TERMS)
     err = np.abs(re_dilog_on_circle(thetas) - series)
-    i = int(np.argmax(err))
     tol = float(10.0 ** np.ceil(np.log10(bound.max())))
-    return _result("dilog-series", err[i], tol, f"theta={thetas[i]:.6f}")
+    return worst_error("dilog-series", tol, [(err, lambda i: f"theta={thetas[i]:.6f}")])
 
 
 def check_lagrange_interpolation(max_n: int, rng) -> CheckResult:
-    worst, where = 0.0, ""
-    for n in range(3, max_n + 1, 2):
-        seq = rng.normal(size=n)
-        at_roots = spectral.gf_at_roots(seq)
-        direct = spectral.gf_eval(seq, -spectral.roots_of_unity(n))
-        interp = spectral.interpolate_negated_root(at_roots, np.arange(n))
-        err = np.abs(direct - interp)
-        j = int(np.argmax(err))
-        if err[j] > worst:
-            worst, where = float(err[j]), f"n={n} j={j}"
-    return _result("lagrange-interpolation", worst, 1e-8, where)
+    def batches():
+        for n in range(3, max_n + 1, 2):
+            seq = rng.normal(size=n)
+            at_roots = spectral.gf_at_roots(seq)
+            direct = spectral.gf_eval(seq, -spectral.roots_of_unity(n))
+            interp = spectral.interpolate_negated_root(at_roots, np.arange(n))
+            yield np.abs(direct - interp), lambda j: f"n={n} j={j}"
+    return worst_error("lagrange-interpolation", 1e-8, batches())
 
 
 def check_pattern_decomposition(max_n: int, rng) -> CheckResult:
-    worst, where = 0.0, ""
-    for n in primes_in_range(3, min(max_n, 61)):
-        base = legendre_sequence(n)
-        for _ in range(2):
-            ta, tb = rng.integers(0, n, size=2)
-            a = rotate_left(base, int(ta))
-            b = rotate_left(base, int(tb))
-            direct = spectral.power_sum_at_negated_roots(a, b)
-            recon = spectral.pattern_decomposition(a, b).negated_power_sum
-            err = max(abs(recon.real - direct), abs(recon.imag)) / abs(direct)
-            if err > worst:
-                worst, where = err, f"n={n} t=({ta},{tb})"
-    return _result("pattern-decomposition", worst, 1e-6, where)
+    def batches():
+        for n in primes_in_range(3, min(max_n, 61)):
+            base = legendre_sequence(n)
+            for _ in range(2):
+                ta, tb = rng.integers(0, n, size=2)
+                a = rotate_left(base, int(ta))
+                b = rotate_left(base, int(tb))
+                direct = spectral.power_sum_at_negated_roots(a, b)
+                recon = spectral.pattern_decomposition(a, b).negated_power_sum
+                # np.maximum, not max: max(1.0, nan) drops the NaN
+                err = np.maximum(abs(recon.real - direct), abs(recon.imag)) / abs(direct)
+                yield err, lambda i: f"n={n} t=({ta},{tb})"
+    return worst_error("pattern-decomposition", 1e-6, batches())
 
 
 def run_validation(max_n: int = 61, seed: int = 0) -> list[CheckResult]:

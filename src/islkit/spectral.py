@@ -285,7 +285,8 @@ def pattern_decomposition(a, b) -> PatternSums:
 
     all_equal = (n**4 / 3.0 + 2.0 * n**2 / 3.0) / 16.0 * complex(np.sum(aa * bb))
 
-    g2 = _inverse_differences(eps) ** 2  # 1 / (eps_q - eps_p)^2, 0 at p = q
+    g = _inverse_differences(eps)
+    g2 = g * g  # 1 / (eps_q - eps_p)^2, 0 at p = q
 
     # each double sum is a sum of bilinear forms u^T F v over (p, q)
     def bilinear(fac, pairs):
@@ -308,7 +309,7 @@ def pattern_decomposition(a, b) -> PatternSums:
         (eps * qa * qbc, eps * qac * qb),
     ))
 
-    one_pair = (n**2 / 8.0) * _one_pair_triple_sum(eps, qa, qb)
+    one_pair = (n**2 / 8.0) * _one_pair_triple_sum(eps, qa, qb, g, g2)
 
     return PatternSums(
         all_equal=all_equal,
@@ -319,7 +320,8 @@ def pattern_decomposition(a, b) -> PatternSums:
     )
 
 
-def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> complex:
+def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray,
+                         g: np.ndarray, g2: np.ndarray) -> complex:
     """Triple sum over distinct (p, q, r) of the one-pair bracket times
     -1 / ((eps_q - eps_p)(eps_r - eps_p)), in O(n^2).
 
@@ -328,9 +330,10 @@ def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> com
     (q, r) visit covers every placement twice, absorbed by the caller's
     1/8 prefactor (against 1/4 for the double sums).
 
-    With g[p, q] = 1 / (eps_q - eps_p) (0 at q = p) the kernel is
+    With g[p, q] = 1 / (eps_q - eps_p) (0 at q = p), as
+    _inverse_differences builds it, and g2 = g o g, the kernel is
     -g[p, q] g[p, r], so a separable term x_p y_q z_r sums to
-    -sum_p x_p ((g y)_p (g z)_p - ((g o g)(y o z))_p): the product of the
+    -sum_p x_p ((g y)_p (g z)_p - (g2 (y o z))_p): the product of the
     two single sums over q != p and r != p, less its q = r diagonal.
     """
     qac, qbc = qa.conj(), qb.conj()
@@ -352,6 +355,5 @@ def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> com
         (eps * qac * qb, qbc, eps * qa),
     )
     x, y, z = (np.array(side) for side in zip(*terms))
-    g = _inverse_differences(eps)
-    gy, gz, gyz = y @ g.T, z @ g.T, (y * z) @ (g * g).T
+    gy, gz, gyz = y @ g.T, z @ g.T, (y * z) @ g2.T
     return complex(-np.sum(x * (gy * gz - gyz)))

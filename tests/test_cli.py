@@ -101,6 +101,12 @@ class TestIsl:
             code, _, err = run(capsys, "isl", "--n", "7", "--fractions", "0", "0.5", "0.25")
             assert code == 2
             assert "cross-check" in err and name in err
+        # a NaN is the worst error, not one that compares as small
+        monkeypatch.setattr(cli, "energy_matrix_spectral", lambda rows: energies(rows) * np.nan)
+        code, lines, err = run(capsys, "isl", "--n", "101", "--fractions", "0.1", "0.3")
+        assert code == 2
+        assert lines == []
+        assert "cross-check failed for auto[0]" in err and "rel_err=nan" in err
 
     def test_library_value_error_names_its_origin(self, capsys, monkeypatch):
         # a check the CLI does not make itself: isl_report refuses the length
@@ -446,6 +452,7 @@ class TestValidate:
         assert "kernel-twin" in err
         fail_lines = [l for l in lines if l.startswith("FAIL")]
         assert len(fail_lines) == 1 and "kernel-twin" in fail_lines[0]
+        assert fail_lines[0].endswith(" worst=n=13 quad=(5, 5, 5, 5)")
 
     def test_shifted_dilog_is_named(self, capsys, monkeypatch):
         # an error of 1e-6 passed the 1e-4 tolerance the series once needed
@@ -458,19 +465,38 @@ class TestValidate:
         fail_lines = [l for l in lines if l.startswith("FAIL")]
         assert len(fail_lines) == 1 and "dilog-series" in fail_lines[0]
 
+    # 1 + 1e-5 is ten times pattern-decomposition's relative tolerance,
+    # the loosest of the seven; a NaN must fail like any large error
+    @pytest.mark.parametrize("factor", [1 + 1e-5, np.nan])
     @pytest.mark.parametrize("module,name,check", [
-        (islkit.spectral, "interpolate_negated_root", "lagrange-interpolation"),
         (islkit.spectral, "energy_matrix_spectral", "spectral-vs-direct"),
+        (islkit.spectral, "kernel_sums_closed_form", "kernel-twin"),
+        (islkit.spectral, "legendre_gf_closed_form", "gauss-sum-closed-form"),
+        (islkit.selfcheck, "periodic_autocorrelation", "periodic-bound"),
+        (islkit.selfcheck, "re_dilog_on_circle", "dilog-series"),
+        (islkit.spectral, "interpolate_negated_root", "lagrange-interpolation"),
+        (islkit.spectral, "power_sum_at_negated_roots", "pattern-decomposition"),
     ])
     def test_corrupted_closed_form_fails_only_its_check(self, capsys, monkeypatch,
-                                                        module, name, check):
+                                                        module, name, check, factor):
         true_fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: true_fn(*args) * (1 + 1e-6))
+        monkeypatch.setattr(module, name, lambda *args: true_fn(*args) * factor)
         code, lines, err = run(capsys, "validate", "--max-n", "13")
         assert code == 2
         assert check in err
         fail_lines = [l for l in lines if l.startswith("FAIL")]
         assert len(fail_lines) == 1 and check in fail_lines[0]
+        if np.isnan(factor):
+            assert "max_error=nan" in fail_lines[0]
+
+    def test_nan_gauss_sum_fails_the_magnitude_check(self, monkeypatch):
+        # gf_at_roots feeds three checks, so this one is called alone
+        monkeypatch.setattr(islkit.spectral, "gf_at_roots",
+                            lambda seq: np.full(len(seq), np.nan + 0j))
+        result = islkit.selfcheck.check_gauss_sum_magnitude(13, None)
+        assert not result.passed
+        assert np.isnan(result.max_error)
+        assert result.worst_input == "n=3 j=1"
 
     @pytest.mark.parametrize("max_n", ["13", "61"])
     def test_eight_checks_in_order(self, capsys, max_n):
@@ -603,7 +629,8 @@ class TestPlumbing:
         if chunk:
             assert proc.stdout.read(chunk)
         proc.stdout.close()
-        err = proc.stderr.read().decode()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and "Exception ignored" not in err
 

@@ -104,3 +104,20 @@ class TestRunValidation:
         assert all(r.passed for r in results), results
         assert tuple(r.tolerance for r in results) == (
             1e-9, 1e-8, 1e-9, 1e-6, 3.0, 1e-10, 1e-8, 1e-6)
+
+
+class TestWorstError:
+    @pytest.mark.parametrize("batches,worst,where", [
+        # ties keep the first strict maximum, within and across batches
+        ([[0.1, 0.3, 0.3], [0.3, 0.2]], 0.3, "0:1"),
+        # the first NaN is the worst, even after a larger finite error
+        ([[0.1, 5.0], [0.2, np.nan, np.nan], [np.nan]], np.nan, "1:1"),
+        # a scalar batch is entry 0
+        ([0.0, 0.2, np.float64(0.2)], 0.2, "1:0"),
+    ])
+    def test_ties_and_nan(self, batches, worst, where):
+        result = selfcheck.worst_error("t", 0.25, [
+            (errors, lambda i, b=b: f"{b}:{i}") for b, errors in enumerate(batches)])
+        assert result.worst_input == where
+        np.testing.assert_equal(result.max_error, worst)  # NaN equals NaN here
+        assert result.passed == (worst <= 0.25)

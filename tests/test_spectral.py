@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from islkit.correlation import auto_sidelobe_energy, cross_energy
 from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 from islkit.spectral import (
+    _inverse_differences,
     _one_pair_triple_sum,
     energy_matrix_spectral,
     gf_at_negated_roots,
@@ -499,13 +500,14 @@ class TestOnePairTripleSum:
     def test_factored_matches_brute_force_on_legendre_rotations(self, n):
         rng = np.random.default_rng(100 + n)
         eps = np.asarray(roots_of_unity(n))
+        g = _inverse_differences(eps)
         base = legendre_sequence(n)
         for _ in range(3):
             ta, tb = rng.integers(0, n, size=2)
             qa = gf_at_roots(rotate_left(base, int(ta)))
             qb = gf_at_roots(rotate_left(base, int(tb)))
             want, scale = _one_pair_triple_sum_brute(eps, qa, qb)
-            got = _one_pair_triple_sum(eps, qa, qb)
+            got = _one_pair_triple_sum(eps, qa, qb, g, g * g)
             # ta == tb can cancel the sum to rounding noise
             assert abs(got - want) <= 1e-13 * scale, (n, ta, tb)
 
@@ -513,10 +515,11 @@ class TestOnePairTripleSum:
     def test_factored_matches_brute_force_on_random_values(self, n):
         rng = np.random.default_rng(200 + n)
         eps = np.asarray(roots_of_unity(n))
+        g = _inverse_differences(eps)
         for _ in range(3):
             qa = rng.normal(size=n) + 1j * rng.normal(size=n)
             qb = rng.normal(size=n) + 1j * rng.normal(size=n)
             want, scale = _one_pair_triple_sum_brute(eps, qa, qb)
-            got = _one_pair_triple_sum(eps, qa, qb)
+            got = _one_pair_triple_sum(eps, qa, qb, g, g * g)
             assert abs(got - want) <= 1e-13 * scale, n
             assert abs(got - want) <= 1e-12 * abs(want), n
