@@ -167,7 +167,7 @@ def _isl_spectral_crosscheck(report, seqs) -> None:
         name = f"auto[{p}]" if p == q else f"cross[{p},{q}]"
         return f"{name}: direct={direct[at]} spectral={float(spectral[at])!r}"
 
-    result = selfcheck.worst_error("isl-spectral-crosscheck", 1e-9, [(err, label)])
+    result = selfcheck._worst_error("isl-spectral-crosscheck", 1e-9, [(err, label)])
     if not result.passed:
         raise ValidationFailure(f"spectral cross-check failed for {result.worst_input} "
                                 f"rel_err={result.max_error:.3e}")

@@ -27,17 +27,17 @@ class CheckResult:
     worst_input: str
 
 
-def worst_error(name: str, tolerance: float, batches) -> CheckResult:
+def _worst_error(name: str, tolerance: float, batches) -> CheckResult:
     """Judge a check by its worst error over all its inputs.
 
     batches yields (errors, label) pairs: an array or a scalar of
     errors, and label(i), which names entry i of the flattened errors
     and is called before the next batch is drawn.  Ties keep the first
-    strict maximum, within a batch and across batches.  A NaN error
-    counts as the worst: the first NaN makes max_error NaN, fails the
-    check and is the input named.
+    strict maximum, within a batch and across batches, so an all-zero
+    check names its first input.  A NaN error counts as the worst: the
+    first NaN makes max_error NaN, fails the check and is the input named.
     """
-    worst, where = 0.0, ""
+    worst, where = -math.inf, ""
     for errors, label in batches:
         errors = np.ravel(errors)
         i = int(np.argmax(errors))  # the first NaN if there is one
@@ -91,7 +91,7 @@ def check_spectral_vs_direct(max_n: int, rng) -> CheckResult:
             pairs = spectral.energy_matrix_spectral(rows)[range(0, 10, 2), range(1, 10, 2)]
             direct = np.array([cross_energy(rows[i], rows[i + 1]) for i in range(0, 10, 2)])
             yield np.abs(pairs - direct) / np.abs(direct), lambda i: f"n={n}"
-    return worst_error("spectral-vs-direct", 1e-9, batches())
+    return _worst_error("spectral-vs-direct", 1e-9, batches())
 
 
 def check_kernel_twin(max_n: int, rng) -> CheckResult:
@@ -102,7 +102,7 @@ def check_kernel_twin(max_n: int, rng) -> CheckResult:
             closed = spectral.kernel_sums_closed_form(quads, n)
             yield (np.abs(closed - direct) / (1.0 + np.abs(direct)),
                    lambda i: f"n={n} quad={tuple(quads[i].tolist())}")
-    return worst_error("kernel-twin", 1e-8, batches())
+    return _worst_error("kernel-twin", 1e-8, batches())
 
 
 def check_gauss_sum_closed_form(max_n: int, rng) -> CheckResult:
@@ -112,7 +112,7 @@ def check_gauss_sum_closed_form(max_n: int, rng) -> CheckResult:
             at_roots = spectral.gf_at_roots(ell)
             closed = spectral.legendre_gf_closed_form(n, np.arange(n), ell)
             yield np.abs(closed - at_roots) / (1.0 + np.abs(at_roots)), lambda j: f"n={n} j={j}"
-    return worst_error("gauss-sum-closed-form", 1e-9, batches())
+    return _worst_error("gauss-sum-closed-form", 1e-9, batches())
 
 
 def check_gauss_sum_magnitude(max_n: int, rng) -> CheckResult:
@@ -121,7 +121,7 @@ def check_gauss_sum_magnitude(max_n: int, rng) -> CheckResult:
         for n in primes_in_range(3, max_n):
             offsets = spectral.gf_at_roots(legendre_sequence(n))[1:] - 1.0
             yield np.abs(np.abs(offsets) ** 2 - n) / n, lambda i: f"n={n} j={i + 1}"
-    return worst_error("gauss-sum-magnitude", 1e-6, batches())
+    return _worst_error("gauss-sum-magnitude", 1e-6, batches())
 
 
 def check_periodic_bound(max_n: int, rng) -> CheckResult:
@@ -131,7 +131,7 @@ def check_periodic_bound(max_n: int, rng) -> CheckResult:
         for n in primes_in_range(3, max_n):
             c = periodic_autocorrelation(legendre_sequence(n))
             yield np.abs(c), lambda i: f"n={n} k={i + 1}"
-    return worst_error("periodic-bound", 3.0, batches())
+    return _worst_error("periodic-bound", 3.0, batches())
 
 
 def _dilog_head(thetas: np.ndarray, terms: int) -> np.ndarray:
@@ -206,7 +206,7 @@ def check_dilog_series(rng) -> CheckResult:
     series, bound = dilog_series(thetas, DILOG_TERMS)
     err = np.abs(re_dilog_on_circle(thetas) - series)
     tol = float(10.0 ** np.ceil(np.log10(bound.max())))
-    return worst_error("dilog-series", tol, [(err, lambda i: f"theta={thetas[i]:.6f}")])
+    return _worst_error("dilog-series", tol, [(err, lambda i: f"theta={thetas[i]:.6f}")])
 
 
 def check_lagrange_interpolation(max_n: int, rng) -> CheckResult:
@@ -217,7 +217,7 @@ def check_lagrange_interpolation(max_n: int, rng) -> CheckResult:
             direct = spectral.gf_eval(seq, -spectral.roots_of_unity(n))
             interp = spectral.interpolate_negated_root(at_roots, np.arange(n))
             yield np.abs(direct - interp), lambda j: f"n={n} j={j}"
-    return worst_error("lagrange-interpolation", 1e-8, batches())
+    return _worst_error("lagrange-interpolation", 1e-8, batches())
 
 
 def check_pattern_decomposition(max_n: int, rng) -> CheckResult:
@@ -233,7 +233,7 @@ def check_pattern_decomposition(max_n: int, rng) -> CheckResult:
                 # np.maximum, not max: max(1.0, nan) drops the NaN
                 err = np.maximum(abs(recon.real - direct), abs(recon.imag)) / abs(direct)
                 yield err, lambda i: f"n={n} t=({ta},{tb})"
-    return worst_error("pattern-decomposition", 1e-6, batches())
+    return _worst_error("pattern-decomposition", 1e-6, batches())
 
 
 def run_validation(max_n: int = 61, seed: int = 0) -> list[CheckResult]:

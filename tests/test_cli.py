@@ -465,17 +465,23 @@ class TestValidate:
         fail_lines = [l for l in lines if l.startswith("FAIL")]
         assert len(fail_lines) == 1 and "dilog-series" in fail_lines[0]
 
-    # 1 + 1e-5 is ten times pattern-decomposition's relative tolerance,
-    # the loosest of the seven; a NaN must fail like any large error
-    @pytest.mark.parametrize("factor", [1 + 1e-5, np.nan])
-    @pytest.mark.parametrize("module,name,check", [
-        (islkit.spectral, "energy_matrix_spectral", "spectral-vs-direct"),
-        (islkit.spectral, "kernel_sums_closed_form", "kernel-twin"),
-        (islkit.spectral, "legendre_gf_closed_form", "gauss-sum-closed-form"),
-        (islkit.selfcheck, "periodic_autocorrelation", "periodic-bound"),
-        (islkit.selfcheck, "re_dilog_on_circle", "dilog-series"),
-        (islkit.spectral, "interpolate_negated_root", "lagrange-interpolation"),
-        (islkit.spectral, "power_sum_at_negated_roots", "pattern-decomposition"),
+    # pattern-decomposition's underived 1e-6 tolerance lets a relative
+    # error of exactly 1e-6 pass (a FOUND line in CHANGES.md); the xfail
+    # is strict, so it must go once that tolerance is derived
+    @pytest.mark.parametrize("module,name,check,factor", [
+        pytest.param(module, name, check, factor, marks=pytest.mark.xfail(
+            strict=True, reason="tolerance 1e-6 admits a 1e-6 relative error")
+            if (check, factor) == ("pattern-decomposition", 1 + 1e-6) else ())
+        for module, name, check in [
+            (islkit.spectral, "energy_matrix_spectral", "spectral-vs-direct"),
+            (islkit.spectral, "kernel_sums_closed_form", "kernel-twin"),
+            (islkit.spectral, "legendre_gf_closed_form", "gauss-sum-closed-form"),
+            (islkit.selfcheck, "periodic_autocorrelation", "periodic-bound"),
+            (islkit.selfcheck, "re_dilog_on_circle", "dilog-series"),
+            (islkit.spectral, "interpolate_negated_root", "lagrange-interpolation"),
+            (islkit.spectral, "power_sum_at_negated_roots", "pattern-decomposition"),
+        ]
+        for factor in (1 + 1e-6, np.nan)
     ])
     def test_corrupted_closed_form_fails_only_its_check(self, capsys, monkeypatch,
                                                         module, name, check, factor):

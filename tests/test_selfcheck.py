@@ -114,9 +114,11 @@ class TestWorstError:
         ([[0.1, 5.0], [0.2, np.nan, np.nan], [np.nan]], np.nan, "1:1"),
         # a scalar batch is entry 0
         ([0.0, 0.2, np.float64(0.2)], 0.2, "1:0"),
+        # an all-zero check still names its first input
+        ([[0.0, 0.0], 0.0], 0.0, "0:0"),
     ])
     def test_ties_and_nan(self, batches, worst, where):
-        result = selfcheck.worst_error("t", 0.25, [
+        result = selfcheck._worst_error("t", 0.25, [
             (errors, lambda i, b=b: f"{b}:{i}") for b, errors in enumerate(batches)])
         assert result.worst_input == where
         np.testing.assert_equal(result.max_error, worst)  # NaN equals NaN here
