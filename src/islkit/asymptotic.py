@@ -10,41 +10,43 @@ import numpy as np
 from .sequences import check_fractions
 
 
+def _kernel(y):
+    """K(y) = (|y| - 1/2)^2, which on [-1, 1] is B(y) = ({y} - 1/2)^2:
+    the one kernel of every limit here, and of the optimize proof."""
+    d = np.abs(y) - 0.5
+    d *= d  # in place: one temporary less per call
+    return d
+
+
 def re_dilog_on_circle(theta):
     """Real part of the dilogarithm series sum_k z^k / k^2 at z = e^(i*theta),
     at a scalar angle or elementwise over an array of angles.
 
-    Piecewise-quadratic closed form pi^2/6 - |t|(2*pi - |t|)/4 with t the
-    angle reduced to [0, 2*pi); periodic in theta.
+    Piecewise-quadratic closed form pi^2 (K(t / 2 pi) - 1/12) =
+    pi^2/6 - t(2 pi - t)/4, t the angle reduced to [0, 2 pi); periodic.
     """
     t = np.mod(theta, 2 * np.pi)
-    return np.pi**2 / 6.0 - 0.25 * t * (2 * np.pi - t)
+    return np.pi**2 * (_kernel(t / (2 * np.pi)) - 1.0 / 12.0)
 
 
-def _auto(f: np.ndarray) -> np.ndarray:
-    d = np.abs(f - 0.5)
-    return 2.0 / 3.0 - 4.0 * d + 8.0 * d * d
-
-
-def _cross(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    sum_dev = np.abs(fa + fb - 1.0) - 0.5
-    diff_dev = np.abs(fa - fb) - 0.5
-    return 2.0 / 3.0 + 2.0 * (sum_dev * sum_dev) + 2.0 * (diff_dev * diff_dev)
+def _cross(fa, fb):
+    return 2.0 / 3.0 + 2.0 * _kernel(fa + fb - 1.0) + 2.0 * _kernel(fa - fb)
 
 
 def auto_energy_limit(f: float) -> float:
     """Limit of (auto sidelobe energy) / n^2 for rotation fraction f.
 
-    2/3 - 4|f - 1/2| + 8 (f - 1/2)^2; minimum 1/6 at f = 1/4 or 3/4.
+    2/3 - 4|f - 1/2| + 8 (f - 1/2)^2, the pair limit at (f, f) less the
+    mainlobe 1 (isl_limit of the set {f}); minimum 1/6 at f = 1/4 or 3/4.
     """
-    return float(_auto(check_fractions(f)))
+    return isl_limit([f]).auto_part
 
 
 def cross_energy_limit(fa: float, fb: float) -> float:
     """Limit of (cross-correlation energy) / n^2 for a rotation pair.
 
-    2/3 + 2 (|fa + fb - 1| - 1/2)^2 + 2 (|fa - fb| - 1/2)^2, symmetric in
-    (fa, fb); minimum 2/3.
+    2/3 + 2 K(fa + fb - 1) + 2 K(fa - fb) with K(y) = (|y| - 1/2)^2,
+    symmetric in (fa, fb); minimum 2/3.
     """
     return float(_cross(check_fractions(fa), check_fractions(fb)))
 
@@ -75,10 +77,11 @@ def isl_limit(fractions) -> AsymptoticIsl:
         raise ValueError("rotation set is empty")
     pair = _cross(f[..., :, None], f[..., None, :])
     pair = np.where(np.eye(f.shape[-1], dtype=bool), 0.0, pair)
-    # cumsum adds strictly left to right, in the order of the term loop
-    # (p outer, q inner), so any batch row equals its single-set value
-    # bit for bit
-    auto = np.cumsum(_auto(f), axis=-1)[..., -1]
+    # the pair limit at (f, f) less the mainlobe 1 is the auto term, as the
+    # report's diagonal less n^2 is; cumsum adds strictly left to right, in
+    # the order of the term loop (p outer, q inner), so any batch row
+    # equals its single-set value bit for bit
+    auto = np.cumsum(_cross(f, f) - 1.0, axis=-1)[..., -1]
     cross = np.cumsum(pair.reshape(*f.shape[:-1], -1), axis=-1)[..., -1]
     if f.ndim == 1:
         return AsymptoticIsl(auto_part=float(auto), cross_part=float(cross))

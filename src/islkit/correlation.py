@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import check_antipodal
+from .spectral import power_spectrum
 
 
 # Largest distance from its integer at which an FFT correlation value
@@ -95,7 +96,7 @@ def isl_report(seqs) -> IslReport:
     """Integrated sidelobe level of a set, assembled term by term.
 
     seqs is an (M, n) array-like of antipodal rows.  Row p makes one FFT
-    round trip (rfft, |spectrum|^2 in place, irfft) on a 2*3*5-smooth
+    round trip (spectral.power_spectrum, then irfft) on a 2*3*5-smooth
     length >= 2n-1, so no lag wraps, and its lags 0..n-1 are rounded
     into row p of the int64 autocorrelation matrix R.  By the paper's
     circle-sum identity read in the lag domain, sum_k X_pq(k)^2 =
@@ -110,19 +111,12 @@ def isl_report(seqs) -> IslReport:
     if n > MAX_EXACT_N:
         raise ValueError(f"n={n} exceeds {MAX_EXACT_N}, beyond which energies overflow int64")
     length = _smooth_length(2 * n - 1)
-    # looked up per call: numpy loads numpy.fft on first access only
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-    spec = np.empty(length // 2 + 1, dtype=np.complex128)
-    power, imag = spec.real, spec.imag  # views into spec
-    corr = np.empty(length)
     autocorr = np.empty((m, n), dtype=np.int64)
+    corr = np.empty(length)  # reused: a fresh output per row costs faults and peak memory
     for p in range(m):
-        rfft(seqs[p], length, out=spec)
-        np.square(power, out=power)
-        power += np.square(imag, out=imag)
-        imag.fill(0.0)
-        lags = irfft(spec, length, out=corr)[:n]
-        np.rint(lags, out=autocorr[p], casting="unsafe")
+        lags = np.fft.irfft(power_spectrum(seqs[p], length), length, out=corr)[:n]
+        with np.errstate(invalid="ignore"):  # a NaN fails the residual check
+            np.rint(lags, out=autocorr[p], casting="unsafe")
         lags -= autocorr[p]
         residual = max(lags.max(), -lags.min())
         if not residual < MAX_ROUNDING_RESIDUAL:

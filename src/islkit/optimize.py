@@ -3,10 +3,10 @@
 The minimum over M fractions is M^2 - M + 1/6, reached at
 f_p = (2p - 1)/(4M), p = 1..M.  Proof:
 
-- Put u_p = f_p - 1/2, B(x) = ({x} - 1/2)^2 and X = {+-u_p}, a multiset
-  of 2M points on the circle R/Z.
-- Expanding auto_energy_limit and cross_energy_limit gives exactly
-  isl_limit = 2M^2/3 - M + sum over x, y in X of B(x - y).
+- Put u_p = f_p - 1/2, B(x) = ({x} - 1/2)^2 (the asymptotic module's
+  kernel) and X = {+-u_p}, a multiset of 2M points on the circle R/Z.
+- isl_limit, the pair limit 2/3 + 2B(u_p + u_q) + 2B(u_p - u_q) summed
+  over all (p, q) less 1 per p, is 2M^2/3 - M + sum_{x, y in X} B(x - y).
 - B is strictly convex on [0, 1].  Sort X around the circle as
   x_0 <= ... <= x_{2M-1}; for each cyclic gap order r the forward gaps
   from x_i to x_{i+r}, each in [0, 1], sum to r, so Jensen gives

@@ -4,11 +4,12 @@ For odd length n, the sum of squared cross-correlations of two real
 sequences equals (S_plus + S_minus) / (2n), where S_plus and S_minus are
 the sums over the n-th roots of unity (resp. their negatives) of
 |Q_a(z) Q_b*(z)|^2.  The n-th roots and their negatives are together the
-2n-th roots of unity, so both sums come from one length-2n FFT per
-sequence (numpy.fft, loaded on first use), and a set's energies are one
-Gram matrix.  S_minus additionally admits a closed-form expansion
-through partial-fraction kernel sums over quadruples of root indices,
-which collapses to O(n^2) sums; every closed form has a direct twin.
+2n-th roots of unity, so both sums come from one length-2n power
+spectrum per sequence (`power_spectrum`, shared with `isl_report`), and
+a set's energies are one Gram matrix.  S_minus additionally admits a
+closed-form expansion through partial-fraction kernel sums over
+quadruples of root indices, which collapses to O(n^2) sums; every
+closed form has a direct twin.
 """
 
 from __future__ import annotations
@@ -66,23 +67,26 @@ def gf_at_roots(seq) -> np.ndarray:
     return a.shape[-1] * np.fft.ifft(a)
 
 
-def _gf_at_double_roots(a: np.ndarray) -> np.ndarray:
-    # the 2n-th roots are the roots of unity of the zero-padded sequence:
-    # bin 2j holds eps_j, bin (2j + n) mod 2n holds -eps_j
-    return gf_at_roots(np.concatenate([a, np.zeros_like(a)], axis=-1))
+def power_spectrum(rows, length: int) -> np.ndarray:
+    """|rfft(rows, length)|^2 along the last axis, bins 0 .. length // 2:
+    |Q|^2 of the zero-padded rows at exp(2 pi i k / length), squared in
+    place in the transform's output (numpy.fft, loaded on first use) and
+    returned in it, imaginary parts zero, the form irfft reads uncopied."""
+    spec = np.fft.rfft(rows, length)
+    power, imag = spec.real, spec.imag
+    np.square(power, out=power)
+    power += np.square(imag, out=imag)
+    imag.fill(0.0)
+    return spec
 
 
 def gf_at_negated_roots(seq) -> np.ndarray:
-    """Generating-function values at -eps_j, j = 0..n-1: the points
-    S_minus sums over in the cross energy (S_plus + S_minus) / 2n.
-
-    -eps_j = exp(2 pi i (2j + n) / 2n) is the 2n-th root at bin
-    (2j + n) mod 2n of the length-2n transform; for odd n these are the
-    odd bins, visited in that order.
-    """
-    a = np.asarray(seq, dtype=np.float64)
-    n = len(a)
-    return _gf_at_double_roots(a)[(2 * np.arange(n) + n) % (2 * n)]
+    """Generating-function values at -eps_j, j = 0..n-1, the points S_minus
+    sums over: Q(-eps_j) = sum_k (-1)^k a_k eps_j^k, so gf_at_roots of the
+    sequence with its odd-indexed terms negated."""
+    a = np.array(seq, dtype=np.float64)
+    a[..., 1::2] *= -1.0
+    return gf_at_roots(a)
 
 
 def legendre_gf_closed_form(n: int, j, ell_j):
@@ -144,15 +148,13 @@ def interpolate_negated_root(at_roots, j):
 
 
 def energy_matrix_spectral(rows) -> np.ndarray:
-    """(M, M) cross-correlation energies, all lags, of M rows of odd
-    length n: S_plus + S_minus is the Gram matrix of the rows' |Q|^2 over
-    the 2n-th roots (one length-2n FFT per row), and the energy is 1/2n of it.
-    The diagonal minus n^2 (the lag-0 mainlobe) is each row's auto
-    sidelobe energy."""
+    """(M, M) cross-correlation energies, all lags, of M rows of odd length
+    n: 1/2n of the Gram matrix of the rows' |Q|^2 over the 2n-th roots, in
+    which power bins 1 .. n-1 each stand for a conjugate pair.  The diagonal
+    minus n^2 (the lag-0 mainlobe) is each row's auto sidelobe energy."""
     n = np.shape(rows)[-1]
     _require_odd(n)
-    q = _gf_at_double_roots(np.asarray(rows))
-    power = (q * q.conj()).real
+    power = power_spectrum(rows, 2 * n).real * np.where(np.arange(n + 1) % n, np.sqrt(2.0), 1.0)
     return power @ power.T / (2 * n)
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import islkit.asymptotic
 import islkit.cli as cli
 import islkit.correlation
 import islkit.selfcheck
@@ -108,6 +109,22 @@ class TestIsl:
         assert lines == []
         assert "cross-check failed for auto[0]" in err and "rel_err=nan" in err
 
+    @pytest.mark.parametrize("factor,message", [(2.0, "spectral cross-check failed"),
+                                                (np.nan, "from an integer")])
+    def test_shared_power_spectrum_corruption_exits_two(self, capsys, monkeypatch,
+                                                        factor, message):
+        # both paths read |Q|^2 from the one primitive; scaled by 2 there,
+        # the exact energies become 4E + 3n^2 and the spectral ones 4E, so
+        # the cross-check still tells the two paths apart
+        true_fn = islkit.spectral.power_spectrum
+        for module in (islkit.spectral, islkit.correlation):
+            monkeypatch.setattr(module, "power_spectrum",
+                                lambda rows, length: true_fn(rows, length) * factor)
+        code, lines, err = run(capsys, "isl", "--n", "101", "--fractions", "0.1", "0.6")
+        assert code == 2
+        assert lines == []
+        assert message in err
+
     def test_library_value_error_names_its_origin(self, capsys, monkeypatch):
         # a check the CLI does not make itself: isl_report refuses the length
         monkeypatch.setattr(islkit.correlation, "MAX_EXACT_N", 5)
@@ -185,6 +202,16 @@ class TestAsym:
         m, total, auto_part, cross_part = lines[1].split(",")
         assert m == "2"
         assert float(total) == pytest.approx(8 / 3)
+
+    def test_corrupted_kernel_moves_the_limit(self, capsys, monkeypatch):
+        # the kernel validate's dilog-series check guards (a row of
+        # test_corrupted_closed_form_fails_only_its_check) is the one asym prints
+        _, before, _ = run(capsys, "asym", "--fractions", "0.3")
+        true_fn = islkit.asymptotic._kernel
+        monkeypatch.setattr(islkit.asymptotic, "_kernel", lambda y: true_fn(y) * (1 + 1e-6))
+        code, after, _ = run(capsys, "asym", "--fractions", "0.3")
+        assert code == 0
+        assert after[0] == before[0] and after[1] != before[1]
 
 
 class TestSurface:
@@ -465,19 +492,15 @@ class TestValidate:
         fail_lines = [l for l in lines if l.startswith("FAIL")]
         assert len(fail_lines) == 1 and "dilog-series" in fail_lines[0]
 
-    # pattern-decomposition's underived 1e-6 tolerance lets a relative
-    # error of exactly 1e-6 pass (a FOUND line in CHANGES.md); the xfail
-    # is strict, so it must go once that tolerance is derived
     @pytest.mark.parametrize("module,name,check,factor", [
-        pytest.param(module, name, check, factor, marks=pytest.mark.xfail(
-            strict=True, reason="tolerance 1e-6 admits a 1e-6 relative error")
-            if (check, factor) == ("pattern-decomposition", 1 + 1e-6) else ())
+        (module, name, check, factor)
         for module, name, check in [
             (islkit.spectral, "energy_matrix_spectral", "spectral-vs-direct"),
             (islkit.spectral, "kernel_sums_closed_form", "kernel-twin"),
             (islkit.spectral, "legendre_gf_closed_form", "gauss-sum-closed-form"),
             (islkit.selfcheck, "periodic_autocorrelation", "periodic-bound"),
             (islkit.selfcheck, "re_dilog_on_circle", "dilog-series"),
+            (islkit.asymptotic, "_kernel", "dilog-series"),
             (islkit.spectral, "interpolate_negated_root", "lagrange-interpolation"),
             (islkit.spectral, "power_sum_at_negated_roots", "pattern-decomposition"),
         ]

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import inspect
 
 import islkit
@@ -50,3 +51,25 @@ def islkit_imports(module) -> set[str]:
 
 def test_optimize_imports_only_asymptotic():
     assert islkit_imports(islkit.optimize) == {"asymptotic"}
+
+
+def test_one_caller_per_fft():
+    # one power-spectrum primitive under the exact and spectral paths:
+    # rfft only in spectral.power_spectrum, its inverse only in
+    # isl_report, the complex transform only in gf_at_roots
+    callers = {}
+    for layer in ("asymptotic", "cli", "correlation", "optimize", "selfcheck",
+                  "sequences", "spectral"):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"islkit.{layer}")))
+        for stmt in tree.body:
+            where = f"{layer}.{getattr(stmt, 'name', '<module>')}"
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                    assert not any("fft" in name for name in names), where
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "fft"):
+                    callers.setdefault(node.attr, set()).add(where)
+    assert callers == {"rfft": {"spectral.power_spectrum"},
+                       "irfft": {"correlation.isl_report"},
+                       "ifft": {"spectral.gf_at_roots"}}

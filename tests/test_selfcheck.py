@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from islkit import selfcheck
+from islkit import selfcheck, spectral
 from islkit.asymptotic import re_dilog_on_circle
 from islkit.selfcheck import _distinct_draws, dilog_series, random_quads
+from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 
 
 def _pattern(row):
@@ -103,7 +104,26 @@ class TestRunValidation:
             "lagrange-interpolation", "pattern-decomposition"]
         assert all(r.passed for r in results), results
         assert tuple(r.tolerance for r in results) == (
-            1e-9, 1e-8, 1e-9, 1e-6, 3.0, 1e-10, 1e-8, 1e-6)
+            1e-9, 1e-8, 1e-9, 1e-11, 3.0, 1e-10, 1e-8, 1e-8)
+
+    @pytest.mark.parametrize("max_n,tolerance", [(7, 1e-12), (199, 1e-11), (10_000, 1e-10)])
+    def test_magnitude_tolerance_follows_its_model(self, max_n, tolerance, monkeypatch):
+        # the Legendre checks themselves are skipped: only the bound is read
+        monkeypatch.setattr(selfcheck, "primes_in_range", lambda lo, hi: [])
+        assert selfcheck.check_gauss_sum_magnitude(max_n, None).tolerance == tolerance
+
+    def test_pattern_decomposition_model_premises(self):
+        # S_minus >= n^3 / 4 for every rotation pair at every prime <= 61,
+        # and the model's bound at n = 61 stays under the tolerance 1e-8
+        for n in primes_in_range(3, 61):
+            base = legendre_sequence(n)
+            rows = np.array([rotate_left(base, t) for t in range(n)])
+            power = np.abs(spectral.gf_at_negated_roots(rows)) ** 2
+            assert (power @ power.T).min() >= n**3 / 4, n
+        n, q, d = 61, 1 + np.sqrt(61), selfcheck._fft_value_error(61)
+        lam = 2 / n * np.sum(1 / np.abs(1 + spectral.roots_of_unity(n)))
+        assert round(lam, 2) == 3.58
+        assert 16 * (lam**4 + lam**3) * q**3 * d / n**2 + 2e-11 < 6.7e-9
 
 
 class TestWorstError:
