@@ -84,6 +84,10 @@ def random_quads(rng, n: int, count: int) -> np.ndarray:
     return np.take_along_axis(quads, perm, axis=1)
 
 
+# energy_matrix_spectral against exact energies, here and in isl's cross-check
+_SPECTRAL_VS_EXACT_TOL = 1e-9
+
+
 def check_spectral_vs_direct(max_n: int, rng) -> CheckResult:
     def batches():
         for n in range(3, max_n + 1, 2):
@@ -91,7 +95,7 @@ def check_spectral_vs_direct(max_n: int, rng) -> CheckResult:
             pairs = spectral.energy_matrix_spectral(rows)[range(0, 10, 2), range(1, 10, 2)]
             direct = np.array([cross_energy(rows[i], rows[i + 1]) for i in range(0, 10, 2)])
             yield np.abs(pairs - direct) / np.abs(direct), lambda i: f"n={n}"
-    return _worst_error("spectral-vs-direct", 1e-9, batches())
+    return _worst_error("spectral-vs-direct", _SPECTRAL_VS_EXACT_TOL, batches())
 
 
 def check_kernel_twin(max_n: int, rng) -> CheckResult:

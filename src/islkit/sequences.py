@@ -15,7 +15,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 64-bit integers."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -97,12 +97,12 @@ def rotate_left(seq: np.ndarray, t: int) -> np.ndarray:
 def check_antipodal(seq) -> np.ndarray:
     """Validate +-1 entries (one sequence or rows of them) as int64."""
     arr = np.asarray(seq)
-    values = arr.astype(np.int64, copy=False)
-    if values.size == 0:
+    if arr.size == 0:
         raise ValueError("sequence must be nonempty")
-    if np.any(values != arr) or not np.all(np.abs(values) == 1):
+    # a real dtype first, since |1j| == 1; NaN and inf compare unequal
+    if arr.dtype.kind not in "biuf" or not np.all(np.abs(arr) == 1):
         raise ValueError("sequence entries must be exactly -1 or +1")
-    return values
+    return arr.astype(np.int64, copy=False)
 
 
 def round_half_up(x: float) -> int:

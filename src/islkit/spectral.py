@@ -14,6 +14,8 @@ closed form has a direct twin.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,45 +196,39 @@ def kernel_sums_closed_form(quads, n: int) -> np.ndarray:
 
     The summand is symmetric in the four indices, so only the multiset
     matters: all equal, three equal, two pairs, one pair plus two
-    distinct, or all distinct (which sums to zero).
+    distinct, or all distinct (which sums to zero); each of the first
+    four is one pattern kernel, evaluated at the quadruples it covers.
     """
     _require_odd(n)
     quads = np.asarray(quads, dtype=np.int64) % n
     eps = roots_of_unity(n)
     s = np.sort(quads, axis=1)
-    e01 = s[:, 0] == s[:, 1]
-    e12 = s[:, 1] == s[:, 2]
-    e23 = s[:, 2] == s[:, 3]
+    e01, e12, e23 = (s[:, :-1] == s[:, 1:]).T
+
+    def g(q, p):
+        return 1.0 / (eps[q] - eps[p])
 
     out = np.zeros(len(quads), dtype=np.complex128)
 
-    mask_a = e01 & e12 & e23
-    if np.any(mask_a):
-        p = eps[s[mask_a, 0]]
-        out[mask_a] = (n**4 / 3.0 + 2.0 * n**2 / 3.0) / 16.0 / p**2
+    mask = e01 & e12 & e23
+    out[mask] = _all_equal(n, eps[s[mask, 0]])
 
-    # three equal: the single index sits at either end after sorting
-    mask_b = (e01 & e12 & ~e23) | (~e01 & e12 & e23)
-    if np.any(mask_b):
-        sb = s[mask_b]
-        tripled = np.where(sb[:, 1] == sb[:, 0], sb[:, 0], sb[:, 3])
-        single = np.where(sb[:, 1] == sb[:, 0], sb[:, 3], sb[:, 0])
-        p, q = eps[tripled], eps[single]
-        out[mask_b] = (n**2 / 8.0) * (q + p) / (p * (q - p) ** 2)
+    # three equal: the middle two always belong to the triple, and the
+    # single index sits at either end after sorting
+    mask = e12 & (e01 != e23)
+    tripled, single = s[mask, 1], np.where(e01[mask], s[mask, 3], s[mask, 0])
+    out[mask] = _three_equal(n, eps[tripled], eps[single], g(single, tripled))
 
-    mask_d = e01 & ~e12 & e23
-    if np.any(mask_d):
-        p, q = eps[s[mask_d, 0]], eps[s[mask_d, 2]]
-        out[mask_d] = -(n**2 / 2.0) / (p - q) ** 2
+    mask = e01 & ~e12 & e23
+    out[mask] = _two_pairs(n, g(s[mask, 2], s[mask, 0]))
 
-    mask_c = (e01 & ~e12 & ~e23) | (~e01 & e12 & ~e23) | (~e01 & ~e12 & e23)
-    if np.any(mask_c):
-        sc = s[mask_c]
-        doubled = np.where(e01[mask_c], sc[:, 0], np.where(e12[mask_c], sc[:, 1], sc[:, 2]))
-        lo = np.where(e01[mask_c], sc[:, 2], sc[:, 0])
-        hi = np.where(e23[mask_c], sc[:, 1], sc[:, 3])
-        p, q, r = eps[doubled], eps[lo], eps[hi]
-        out[mask_c] = -(n**2 / 4.0) / ((q - p) * (r - p))
+    # one pair: after sorting it sits first, last or in the middle
+    mask = e01.astype(int) + e12 + e23 == 1
+    sc, first, last = s[mask], e01[mask], e23[mask]
+    doubled = np.where(first, sc[:, 0], np.where(last, sc[:, 2], sc[:, 1]))
+    lo = np.where(first, sc[:, 2], sc[:, 0])
+    hi = np.where(last, sc[:, 1], sc[:, 3])
+    out[mask] = _one_pair(n, g(lo, doubled), g(hi, doubled))
 
     # all distinct sums to zero: already initialized
     return out
@@ -269,68 +265,85 @@ def _inverse_differences(eps: np.ndarray) -> np.ndarray:
     return g
 
 
+# Pattern kernels K(q) = sum_j eps_j^2 / prod_i (eps_j + eps_{q_i}), one per
+# coincidence pattern, in root values p = eps_p, q = eps_q and inverse
+# differences g = 1 / (eps_q - eps_p) (g_q, g_r from eps_p): kernel_sums_closed_form
+# takes them at its quadruples, pattern_decomposition on the (p, q) grid.
+
+def _all_equal(n, p):  # K(p, p, p, p)
+    return (n**4 / 3.0 + 2.0 * n**2 / 3.0) / 16.0 / p**2
+
+
+def _three_equal(n, p, q, g):  # K(p, p, p, q)
+    return (n**2 / 8.0) * (q + p) / p * g**2
+
+
+def _two_pairs(n, g):  # K(p, p, q, q)
+    return -(n**2 / 2.0) * g**2
+
+
+def _one_pair(n, g_q, g_r):  # K(p, p, q, r), q != r
+    return -(n**2 / 4.0) * g_q * g_r
+
+
+@functools.cache
+def _arrangements(word: str) -> np.ndarray:
+    """Masks (role, arrangement, slot, 1): which of the four kernel slots
+    each index of the word takes, per distinct arrangement of the word."""
+    places = np.array(list(dict.fromkeys(itertools.permutations(word))))
+    return np.array([places == role for role in sorted(set(word))])[..., None]
+
+
+def _brackets(eps, qa, qb, word: str) -> np.ndarray:
+    """Bracket terms of a coincidence pattern, e.g. "ppqr" for a pair p and
+    singles q, r.  Interpolating Q(-eps_j) and its conjugate
+    (interpolate_negated_root) gives S_minus = (16 / n^4) sum_q K(q)
+    prod_i v_i(q_i), the slots carrying v = (eps Q_a, Q_a*, eps Q_b, Q_b*).
+    Returns the factors of p, q (, r), a row per arrangement of the word
+    over the slots, each the product of the slots that index takes."""
+    slots = np.array([eps * qa, qa.conj(), eps * qb, qb.conj()])
+    return np.where(_arrangements(word), slots, 1.0).prod(axis=2)
+
+
 def pattern_decomposition(a, b) -> PatternSums:
     """Closed-form decomposition of the negated-roots power sum.
 
     The quadruple index sum collapses, pattern by pattern, to one O(n)
-    term and three O(n^2) sums; the one-pair triple sum factors through
-    the matrix of inverse root differences.  Time and memory are O(n^2).
+    term and three O(n^2) sums, the pattern kernels evaluated on the
+    (p, q) grid; the one-pair triple sum factors through the matrix of
+    inverse root differences.  Time and memory are O(n^2).
     """
     a, b, n = _as_pair(a, b)
     eps = roots_of_unity(n)
-    qa = gf_at_roots(a)
-    qb = gf_at_roots(b)
-    qac = qa.conj()
-    qbc = qb.conj()
-    aa = (qa * qac).real  # |Q_a|^2
-    bb = (qb * qbc).real
+    qa, qb = gf_at_roots(a), gf_at_roots(b)
+    g = _inverse_differences(eps)  # 0 at p = q, so every kernel is 0 there
 
-    all_equal = (n**4 / 3.0 + 2.0 * n**2 / 3.0) / 16.0 * complex(np.sum(aa * bb))
+    # sums over ordered (p, q) of bilinear forms x^T K y; ppqq and its
+    # swap qqpp are both arrangements, so they visit each quadruple twice
+    def bilinear(kernel, word):
+        x, y = _brackets(eps, qa, qb, word)
+        return complex(np.sum(x * (y @ kernel.T)))
 
-    g = _inverse_differences(eps)
-    g2 = g * g  # 1 / (eps_q - eps_p)^2, 0 at p = q
-
-    # each double sum is a sum of bilinear forms u^T F v over (p, q)
-    def bilinear(fac, pairs):
-        u, v = (np.array(side) for side in zip(*pairs))
-        return complex(np.sum(u * (v @ fac.T)))
-
-    # three equal (p) against a single (q): four bracket terms
-    fac3 = (eps[None, :] + eps[:, None]) / eps[:, None] * g2
-    three_equal = (n**2 / 8.0) * bilinear(fac3, (
-        (eps**2 * aa * qb, qbc),
-        (eps * aa * qbc, eps * qb),
-        (eps**2 * qa * bb, qac),
-        (eps * qac * bb, eps * qa),
-    ))
-
-    # two distinct pairs (p, q): three bracket terms
-    two_pairs = (n**2 / 2.0) * bilinear(-g2, (
-        (eps * aa, eps * bb),
-        (eps**2 * qa * qb, qac * qbc),
-        (eps * qa * qbc, eps * qac * qb),
-    ))
-
-    one_pair = (n**2 / 8.0) * _one_pair_triple_sum(eps, qa, qb, g, g2)
-
-    return PatternSums(
-        all_equal=all_equal,
-        three_equal=three_equal,
-        one_pair=one_pair,
-        two_pairs=two_pairs,
-        n=n,
-    )
+    (x,) = _brackets(eps, qa, qb, "pppp")
+    all_equal = complex(np.sum(_all_equal(n, eps) * x))
+    three_equal = bilinear(_three_equal(n, eps[:, None], eps[None, :], g), "pppq")
+    two_pairs = bilinear(_two_pairs(n, g), "ppqq") / 2
+    # _one_pair(n, 1, 1) g_q g_r is the one-pair kernel; the triple sum's is -g_q g_r
+    one_pair = -_one_pair(n, 1.0, 1.0) / 2 * _one_pair_triple_sum(eps, qa, qb, g, g * g)
+    return PatternSums(all_equal=all_equal, three_equal=three_equal, one_pair=one_pair,
+                       two_pairs=two_pairs, n=n)
 
 
 def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray,
                          g: np.ndarray, g2: np.ndarray) -> complex:
-    """Triple sum over distinct (p, q, r) of the one-pair bracket times
+    """Triple sum over distinct (p, q, r) of the one-pair brackets times
     -1 / ((eps_q - eps_p)(eps_r - eps_p)), in O(n^2).
 
-    The twelve bracket terms enumerate the placements of the doubled
-    index p and the singles q, r over the four kernel slots; each ordered
-    (q, r) visit covers every placement twice, absorbed by the caller's
-    1/8 prefactor (against 1/4 for the double sums).
+    The brackets are the twelve arrangements of ppqr over the four kernel
+    slots (_brackets).  Swapping q and r turns one into another, so the
+    sum over ordered (q, r) visits every quadruple twice, and
+    pattern_decomposition halves it before scaling by the one-pair
+    kernel's constant.
 
     With g[p, q] = 1 / (eps_q - eps_p) (0 at q = p), as
     _inverse_differences builds it, and g2 = g o g, the kernel is
@@ -338,24 +351,6 @@ def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray,
     -sum_p x_p ((g y)_p (g z)_p - (g2 (y o z))_p): the product of the
     two single sums over q != p and r != p, less its q = r diagonal.
     """
-    qac, qbc = qa.conj(), qb.conj()
-    aa, bb = (qa * qac).real, (qb * qbc).real
-
-    # separable bracket terms: X depends on p, Y on q, Z on r
-    terms = (
-        (eps * aa, eps * qb, qbc),
-        (eps * aa, qbc, eps * qb),
-        (eps**2 * qa * qb, qac, qbc),
-        (eps**2 * qa * qb, qbc, qac),
-        (eps * qa * qbc, qac, eps * qb),
-        (eps * qa * qbc, eps * qb, qac),
-        (qac * qbc, eps * qa, eps * qb),
-        (qac * qbc, eps * qb, eps * qa),
-        (eps * bb, eps * qa, qac),
-        (eps * bb, qac, eps * qa),
-        (eps * qac * qb, eps * qa, qbc),
-        (eps * qac * qb, qbc, eps * qa),
-    )
-    x, y, z = (np.array(side) for side in zip(*terms))
+    x, y, z = _brackets(eps, qa, qb, "ppqr")
     gy, gz, gyz = y @ g.T, z @ g.T, (y * z) @ g2.T
     return complex(-np.sum(x * (gy * gz - gyz)))

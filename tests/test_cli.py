@@ -518,6 +518,21 @@ class TestValidate:
         if np.isnan(factor):
             assert "max_error=nan" in fail_lines[0]
 
+    @pytest.mark.parametrize("kernel", ["_all_equal", "_three_equal", "_two_pairs", "_one_pair"])
+    @pytest.mark.parametrize("factor", [1 + 1e-6, np.nan])
+    def test_corrupted_pattern_kernel_fails_both_its_callers(self, capsys, monkeypatch,
+                                                             kernel, factor):
+        # one copy of each pattern kernel serves the closed-form kernel sums
+        # and the S_minus decomposition, so kernel-twin guards both
+        true_fn = getattr(islkit.spectral, kernel)
+        monkeypatch.setattr(islkit.spectral, kernel, lambda *args: true_fn(*args) * factor)
+        code, lines, err = run(capsys, "validate", "--max-n", "13")
+        assert code == 2
+        fail_lines = [l for l in lines if l.startswith("FAIL")]
+        assert [l.split()[1] for l in fail_lines] == ["kernel-twin", "pattern-decomposition"]
+        if np.isnan(factor):
+            assert all("max_error=nan" in l for l in fail_lines)
+
     def test_nan_gauss_sum_fails_the_magnitude_check(self, monkeypatch):
         # gf_at_roots feeds three checks, so this one is called alone
         monkeypatch.setattr(islkit.spectral, "gf_at_roots",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from islkit.asymptotic import isl_limit
 from islkit.sequences import (
     bind_rotations,
+    check_antipodal,
     is_prime,
     legendre_sequence,
     legendre_symbol,
@@ -145,6 +148,30 @@ class TestRotate:
         for t in range(-11, 23):
             out = rotate_left(s, t)
             assert all(out[j] == s[(j + t) % 11] for j in range(11))
+
+
+class TestCheckAntipodal:
+    @pytest.mark.parametrize("seq", [
+        [1, -1, 1], [1.0, -1.0], [[1, -1], [-1, -1]], np.ones(3, dtype=np.int8),
+    ])
+    def test_accepts_plus_minus_one_as_int64(self, seq):
+        values = check_antipodal(seq)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, seq)
+
+    @pytest.mark.parametrize("seq", [
+        [1, 0, -1], [1, 2], [-2, 1], [1.5, 1], [1.0, np.nan], [np.inf, 1.0], [-1.0, -np.inf],
+        [1, 1j], [1 + 0j, -1 + 0j], [[1, -1], [1, np.nan]],
+    ])
+    def test_rejects_other_entries_without_a_warning(self, seq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+                check_antipodal(seq)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            check_antipodal([])
 
 
 class TestBindRotations:
