@@ -14,10 +14,12 @@ from .asymptotic import (
 )
 from .correlation import (
     IslReport,
+    IslTotals,
     aperiodic_correlation,
     auto_sidelobe_energy,
     cross_energy,
     isl_report,
+    isl_totals,
     periodic_autocorrelation,
 )
 from .optimize import OptResult, optimize_rotations
@@ -50,6 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticIsl",
     "IslReport",
+    "IslTotals",
     "OptResult",
     "PatternSums",
     "RotationSet",
@@ -67,6 +70,7 @@ __all__ = [
     "is_prime",
     "isl_limit",
     "isl_report",
+    "isl_totals",
     "legendre_gf_closed_form",
     "legendre_sequence",
     "legendre_symbol",

@@ -17,32 +17,41 @@ import numpy as np
 
 from . import selfcheck
 from .asymptotic import isl_limit
-from .correlation import MAX_EXACT_N, RoundingResidualError, isl_report
+from .correlation import MAX_EXACT_N, RoundingResidualError, isl_report, isl_totals
 from .optimize import optimize_rotations
-from .sequences import bind_rotations, check_fractions, is_prime, primes_in_range
+from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequence,
+                        primes_in_range)
 from .spectral import energy_matrix_spectral
 
-# Exact ISL is O(M N log N + M^2 N) and holds M x N entries; on a 2-core
-# x86-64 host each sequence adds ~15 MB at n ~ 10^6 (15 bytes per entry).
-# isl at n = 999983 takes ~0.33 s and ~160 MB with 4 rotations, ~9.0 s
-# and ~1.07 GB with 64.  The bound on M x N admits 128 rotations there
-# (~28 s, ~2.1 GB) and 55 at n = 2399993 (~19 s, ~2.2 GB).
+# isl above n = SPECTRAL_CHECK_MAX_N, sweep and optimize --exact-check
+# stream their rows (correlation.isl_totals): O(M n log n) time and O(n)
+# memory, so this bound on M x N now limits their time, not their memory.
+# On a 2-core x86-64 host isl at n = 999983 takes ~1.1 s with 4 rotations,
+# ~10.5 s with 64 and ~23.5 s with 128, each at a ~130 MB peak RSS, and
+# 55 rotations at n = 2399993 take ~21 s at ~270 MB.  (When isl built the
+# (M, n) array and its int64 Gram product, 128 rotations at n = 999983
+# peaked near 2.1 GB.)  isl at n <= SPECTRAL_CHECK_MAX_N still builds the
+# array and the pair matrices for its cross-checks: 1000 rotations at
+# n = 199 take ~0.7 s at ~86 MB.
 MAX_SET_ENTRIES = 2**27
-# sweep runs one exact ISL per prime; its work is estimated as M^2 n
-# (int64 Gram product) plus M n log2 n (FFTs), summed over every odd n in
-# range.  On a 2-core x86-64 host a unit costs 0.45-2.3 ns, the most at
-# M = 1, where per-prime overhead leads: M = 1 over n <= 50000 (1.0e10
-# units) took 18 s.  At the bound the slowest accepted sweep from n = 3 is
-# M = 1 to n = 31670 at 7.5 s; M = 4 to 14960 takes 4.3 s, M = 100 to 1204
-# 2.8 s, M = 1000 to 126 4.4 s, and the 8 rotations over 23..499 of the
-# README (8.5e6 units) 0.3 s.
+# sweep runs one exact ISL per prime; its work is estimated as M^2 n plus
+# M n log2 n (FFTs), summed over every odd n in range.  The M^2 n term was
+# fitted to the int64 Gram product, which sweep no longer forms, so the
+# estimate now overstates large-M sweeps.  On a 2-core x86-64 host, at the
+# bound, the slowest accepted sweep from n = 3 is M = 1 to n = 31670 at
+# ~8.1 s, where per-prime overhead leads; M = 4 to 14960 takes ~5.9 s,
+# M = 100 to 1204 ~1.8 s (~3.1 s with the Gram product), M = 1000 to 126
+# ~1.0 s (~3.7 s), and the 8 rotations over 23..499 of the README (8.5e6
+# units) ~0.3 s.
 MAX_SWEEP_WORK = 4 * 10**9
 SPECTRAL_CHECK_MAX_N = 199
 # surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
 # peaks near 340 MB, and the cost grows with R^2.
 SURFACE_RESOLUTION_CAP = 1000
-# optimize evaluates its M-set with M x M arrays; --m 1000 peaks near 60 MB.
-# It also bounds every --fractions list (isl, sweep, asym).
+# Bounds --m (optimize, sweep --optimal) and every --fractions list (isl,
+# sweep, asym).  isl_limit evaluates a set with M x M arrays: asym with
+# 1000 fractions peaks near 53 MB RSS, and so does sweep's asymptotic
+# column.  optimize itself is closed-form and costs O(M).
 M_CAP = 1000
 # validate runs its Gauss-sum and periodic checks on every prime up to
 # --max-n, the latter with an O(n^2) correlate: --max-n 2003 takes ~0.3 s,
@@ -174,22 +183,41 @@ def _isl_spectral_crosscheck(report, seqs) -> None:
                                 f"rel_err={result.max_error:.3e}")
 
 
+def _totals(rset):
+    # rows are views of one doubled Legendre base, checked for +-1 once
+    return isl_totals(legendre_sequence(rset.n), rset.offsets)
+
+
+def _crosschecked_totals(rset):
+    """Streamed totals, checked against isl_report's auto and pair terms,
+    which are checked pair by pair against the spectral path."""
+    seqs = rset.sequences()
+    report = isl_report(seqs)
+    _isl_spectral_crosscheck(report, seqs)
+    totals = _totals(rset)
+    auto_part = sum(report.auto_terms.tolist())
+    terms = auto_part + sum(report.cross_terms.ravel().tolist())
+    streamed_auto = sum(totals.auto_terms.tolist())
+    if (totals.total, streamed_auto) != (terms, auto_part):
+        raise ValidationFailure(
+            f"streamed total {totals.total} (auto part {streamed_auto}) differs from "
+            f"isl_report's terms {terms} (auto part {auto_part})")
+    return totals
+
+
 def cmd_isl(args) -> int:
     n = _require_prime(args.n)
     fractions = parse_fraction_list(args.fractions)
     _check_size(len(fractions), n)
     rset = bind_rotations(fractions, n)
-    seqs = rset.sequences()
-    report = isl_report(seqs)
-    if n <= SPECTRAL_CHECK_MAX_N:
-        _isl_spectral_crosscheck(report, seqs)
+    totals = _crosschecked_totals(rset) if n <= SPECTRAL_CHECK_MAX_N else _totals(rset)
     # Python ints: exact at any n, and the same digits as fmt below 10^12
-    auto_part = sum(report.auto_terms.tolist())
-    cross_part = report.total - auto_part
+    auto_part = sum(totals.auto_terms.tolist())
+    cross_part = totals.total - auto_part
     lines = [
         "N,M,total,normalized,auto_part,cross_part",
         ",".join(
-            [str(n), str(report.m), str(report.total), fmt(report.normalized),
+            [str(n), str(totals.m), str(totals.total), fmt(totals.normalized),
              str(auto_part), str(cross_part)]
         ),
     ]
@@ -242,8 +270,7 @@ def cmd_sweep(args) -> int:
     asym = isl_limit(fractions).total
     lines = ["N,exact_normalized,asymptotic,relative_error"]
     for n in primes:
-        rset = bind_rotations(fractions, n)
-        exact = isl_report(rset.sequences()).normalized
+        exact = _totals(bind_rotations(fractions, n)).normalized
         rel = abs(exact - asym) / abs(asym)
         lines.append(",".join([str(n), fmt(exact), fmt(asym), fmt(rel)]))
     _emit(lines, args.output)
@@ -259,7 +286,7 @@ def cmd_optimize(args) -> int:
         n = _require_prime(args.exact_check)
         _check_size(args.m, n)
         rset = bind_rotations(result.fractions, n)
-        normalized = isl_report(rset.sequences()).normalized
+        normalized = _totals(rset).normalized
         rel = abs(normalized - result.asym_value) / result.asym_value
         lines.append(
             f"exact-check N={n} offsets={','.join(map(str, rset.offsets))} "

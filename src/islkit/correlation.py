@@ -1,9 +1,13 @@
 """Correlation sums of antipodal sequences: the exact ISL and its oracle.
 
-`isl_report` rounds one FFT autocorrelation per sequence to integers,
-checking that no value sat 0.25 or more from its integer, and takes
-every auto and cross energy from them as one int64 matrix product:
-exact by check, not by assumption, in O(M n log n + M^2 n).
+Both exact paths round one FFT autocorrelation per sequence to integers,
+checking that no value sat 0.25 or more from its integer: exact by
+check, not by assumption.  `isl_totals` folds each rounded row into a
+running column sum and one row norm and drops it, so it prints every
+total of a rotation set in O(M n log n) time and O(n) memory.
+`isl_report` keeps the rows and takes every auto and cross energy from
+them as one int64 matrix product, in O(M n log n + M^2 n) time and
+O(M n) memory.
 
 `aperiodic_correlation` and the energies built on it use plain sliding
 products (numpy's direct correlate, no FFT).  They are the oracle the
@@ -12,6 +16,7 @@ FFT, spectral and asymptotic paths are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +31,28 @@ MAX_ROUNDING_RESIDUAL = 0.25
 # Largest n whose correlation energies fit in int64: isl_report's 2 R R^T,
 # a pair's energy plus n^2, is at most n (n + 1) (2n + 1) / 3 < 2^63.
 MAX_EXACT_N = 2_400_000
+_INT64_MAX = 2**63 - 1
 
 
 class RoundingResidualError(ArithmeticError):
     """An FFT correlation value sat too far from an integer to round."""
+
+
+@dataclass(frozen=True)
+class IslTotals:
+    """Integrated sidelobe level of a sequence set, without its pairs.
+
+    auto_terms[p] (int64) is the sidelobe energy of sequence p, lag 0
+    excluded; total, a Python int, adds every ordered pair's cross
+    energy to their sum; normalized is total / n^2.  The same values as
+    the IslReport fields of the same names.
+    """
+
+    auto_terms: np.ndarray
+    total: int
+    normalized: float
+    n: int
+    m: int
 
 
 @dataclass(frozen=True)
@@ -92,17 +115,95 @@ def _smooth_length(k: int) -> int:
     return best
 
 
+def _rounded_autocorrelation(row, p: int, corr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lags 0..n-1 of antipodal row p's aperiodic autocorrelation, rounded
+    into the int64 buffer out (length n) and returned in it.
+
+    One FFT round trip (spectral.power_spectrum, then irfft) on the
+    2*3*5-smooth length of the float buffer corr, >= 2n-1, so no lag
+    wraps; corr is reused across rows because a fresh output per row
+    costs faults and peak memory.  Raises RoundingResidualError if a
+    value is not within MAX_ROUNDING_RESIDUAL of an integer.
+    """
+    n, length = len(out), len(corr)
+    lags = np.fft.irfft(power_spectrum(row, length), length, out=corr)[:n]
+    with np.errstate(invalid="ignore"):  # a NaN fails the residual check
+        np.rint(lags, out=out, casting="unsafe")
+    lags -= out
+    residual = max(lags.max(), -lags.min())
+    if not residual < MAX_ROUNDING_RESIDUAL:
+        raise RoundingResidualError(
+            f"FFT autocorrelation of sequence {p} (n={n}) lies "
+            f"{residual:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
+        )
+    return out
+
+
+def _sum_of_squares(values: np.ndarray, bound: int) -> int:
+    """Exact sum of squares, as a Python int, of an int64 vector whose
+    entries lie in [-bound, bound], bound^2 < 2^63.
+
+    A single int64 dot wraps silently once the sum passes 2^63 (M^2 n^3 / 3
+    for all-ones rows reaches ~4.6e24 at M = 1000, n = MAX_EXACT_N), so
+    the entries are summed in int64 blocks whose worst case stays below
+    2^63 and the block sums are added as Python ints.
+    """
+    block = min(_INT64_MAX // (bound * bound), len(values))
+    padded = np.zeros(-(-len(values) // block) * block, dtype=np.int64)
+    padded[:len(values)] = values
+    blocks = padded.reshape(-1, block)
+    return sum(np.einsum("ij,ij->i", blocks, blocks).tolist())
+
+
+def isl_totals(base, offsets) -> IslTotals:
+    """Integrated sidelobe level of the set whose row p is the antipodal
+    base rotated left by offsets[p], streamed in O(n) memory.
+
+    Summed over all (p, q), the energies 2 R R^T - n^2 of isl_report are
+    2 |sum_p r_p|^2 - M^2 n^2 (the paper's circle sum over the 2n-th
+    roots, read in the lag domain); the total drops the M mainlobes n^2,
+    and the auto term of row p is 2 |r_p|^2 - 2 n^2.  So each row, a
+    view of the doubled base checked for +-1 once, is transformed,
+    rounded and checked as in isl_report, then folded into an int64
+    column sum and its norm, and dropped: no (M, n) array is formed.
+    Raises RoundingResidualError as isl_report does.
+    """
+    base = check_antipodal(base)
+    if base.ndim != 1:
+        raise ValueError(f"expected one base sequence, got shape {base.shape}")
+    n, m = len(base), len(offsets)
+    if n > MAX_EXACT_N:
+        raise ValueError(f"n={n} exceeds {MAX_EXACT_N}, beyond which energies overflow int64")
+    if not 1 <= m <= math.isqrt(_INT64_MAX) // n:
+        # every column sum lies within m n, and its square must fit int64
+        raise ValueError(f"{m} rotations of length {n}: need 1 <= m <= "
+                         f"{math.isqrt(_INT64_MAX) // n}")
+    doubled = np.concatenate([base, base], dtype=np.float64)  # exact; rfft casts no row
+    corr = np.empty(_smooth_length(2 * n - 1))
+    lags = np.empty(n, dtype=np.int64)
+    colsum = np.zeros(n, dtype=np.int64)
+    auto = np.empty(m, dtype=np.int64)
+    for p, t in enumerate(offsets):
+        t %= n
+        _rounded_autocorrelation(doubled[t:t + n], p, corr, lags)
+        colsum += lags
+        # |r_p(k)| <= n - k, so 2 |r_p|^2 <= n (n + 1) (2n + 1) / 3 < 2^63
+        auto[p] = 2 * (lags @ lags) - 2 * n * n
+    total = 2 * _sum_of_squares(colsum, m * n) - (m * m + m) * n * n
+    return IslTotals(auto_terms=auto, total=total, normalized=total / n**2, n=n, m=m)
+
+
 def isl_report(seqs) -> IslReport:
     """Integrated sidelobe level of a set, assembled term by term.
 
-    seqs is an (M, n) array-like of antipodal rows.  Row p makes one FFT
-    round trip (spectral.power_spectrum, then irfft) on a 2*3*5-smooth
-    length >= 2n-1, so no lag wraps, and its lags 0..n-1 are rounded
-    into row p of the int64 autocorrelation matrix R.  By the paper's
-    circle-sum identity read in the lag domain, sum_k X_pq(k)^2 =
+    seqs is an (M, n) array-like of antipodal rows.  Row p's lags
+    0..n-1, from one checked FFT round trip, are rounded into row p of
+    the int64 autocorrelation matrix R.  By the paper's circle-sum
+    identity read in the lag domain, sum_k X_pq(k)^2 =
     sum_k r_p(k) r_q(k), so the energy matrix is 2 R R^T - n^2.  Raises
     RoundingResidualError if a rounded value is not within
-    MAX_ROUNDING_RESIDUAL of an integer.
+    MAX_ROUNDING_RESIDUAL of an integer.  isl_totals gives the same
+    totals without the pairs, in O(n) memory.
     """
     seqs = check_antipodal(seqs)
     if seqs.ndim != 2:
@@ -110,20 +211,10 @@ def isl_report(seqs) -> IslReport:
     m, n = seqs.shape
     if n > MAX_EXACT_N:
         raise ValueError(f"n={n} exceeds {MAX_EXACT_N}, beyond which energies overflow int64")
-    length = _smooth_length(2 * n - 1)
     autocorr = np.empty((m, n), dtype=np.int64)
-    corr = np.empty(length)  # reused: a fresh output per row costs faults and peak memory
+    corr = np.empty(_smooth_length(2 * n - 1))
     for p in range(m):
-        lags = np.fft.irfft(power_spectrum(seqs[p], length), length, out=corr)[:n]
-        with np.errstate(invalid="ignore"):  # a NaN fails the residual check
-            np.rint(lags, out=autocorr[p], casting="unsafe")
-        lags -= autocorr[p]
-        residual = max(lags.max(), -lags.min())
-        if not residual < MAX_ROUNDING_RESIDUAL:
-            raise RoundingResidualError(
-                f"FFT autocorrelation of sequence {p} (n={n}) lies "
-                f"{residual:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
-            )
+        _rounded_autocorrelation(seqs[p], p, corr, autocorr[p])
     energy = 2 * (autocorr @ autocorr.T) - n * n
     auto = energy.diagonal() - n * n
     np.fill_diagonal(energy, 0)

@@ -15,6 +15,7 @@ import islkit.asymptotic
 import islkit.cli as cli
 import islkit.correlation
 import islkit.selfcheck
+import islkit.sequences
 import islkit.spectral
 from islkit.correlation import auto_sidelobe_energy
 from islkit.sequences import legendre_sequence, rotate_left
@@ -192,6 +193,45 @@ class TestIsl:
         assert lines == []
         assert "validation failure" in err and "from an integer" in err
         assert "Traceback" not in err
+
+    def test_corrupted_fold_fails_the_streamed_twin(self, capsys, monkeypatch):
+        # below the spectral bound the printed total comes from the
+        # streamed fold and must equal isl_report's auto plus pair terms
+        true_fn = islkit.correlation._sum_of_squares
+        monkeypatch.setattr(islkit.correlation, "_sum_of_squares",
+                            lambda values, bound: true_fn(values, bound) + 1)
+        code, lines, err = run(capsys, "isl", "--n", "7", "--fractions", "0", "0.5", "0.25")
+        assert code == 2
+        assert lines == []
+        assert err == ("validation failure: streamed total 334 (auto part 66) differs "
+                       "from isl_report's terms 332 (auto part 66)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["isl", "--n", "211", "--fractions", "0.1", "0.6", "0.6"],
+        ["sweep", "--fractions", "0.1", "0.6", "--n-min", "3", "--n-max", "211"],
+        ["optimize", "--m", "3", "--exact-check", "101"],
+    ])
+    def test_streamed_paths_never_build_the_set(self, capsys, monkeypatch, argv):
+        # isl above n = 199, sweep and optimize --exact-check stream rows
+        # as views of one base: no (M, n) int64 array
+        def refuse(self):
+            raise AssertionError("RotationSet.sequences() called")
+
+        monkeypatch.setattr(islkit.sequences.RotationSet, "sequences", refuse)
+        code, lines, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(lines) >= 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--fractions", "0", "0.5", "--n-min", "211", "--n-max", "211"],
+        ["optimize", "--m", "2", "--exact-check", "211"],
+    ])
+    def test_rounding_residual_exits_two_on_every_exact_path(self, capsys, monkeypatch, argv):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+        expected = run(capsys, "isl", "--n", "211", "--fractions", "0", "0.5")
+        assert expected[0] == 2 and expected[2].startswith("validation failure: FFT")
+        assert run(capsys, *argv) == expected
 
 
 class TestAsym:
@@ -422,6 +462,13 @@ class TestOptimize:
         assert code == 0
         value = float(lines[0].split()[-1])
         assert value == pytest.approx(cli.M_CAP**2 - cli.M_CAP + 1 / 6, rel=1e-12)
+
+    def test_m_512_prints_the_rounded_optimum(self, capsys):
+        # M^2 - M + 1/6 = 261632.1666... rounds up at the sixth decimal; a
+        # float sum of the 262144 pair terms printed 261632.166666
+        code, lines, _ = run(capsys, "optimize", "--m", "512")
+        assert code == 0
+        assert lines[0].endswith("  261632.166667")
 
     def test_m_above_cap_exits_one(self, capsys):
         code, lines, err = run(capsys, "optimize", "--m", str(cli.M_CAP + 1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from islkit.correlation import (
     MAX_ROUNDING_RESIDUAL,
     RoundingResidualError,
     _smooth_length,
+    _sum_of_squares,
     aperiodic_correlation,
     auto_sidelobe_energy,
     cross_energy,
     isl_report,
+    isl_totals,
     periodic_autocorrelation,
 )
 from islkit.sequences import legendre_sequence, primes_in_range
@@ -245,6 +249,99 @@ class TestFftIslReport:
         assert n * (2 * n * n + 1) // 3 < 2**63
         with pytest.raises(ValueError, match="overflow int64"):
             isl_report([np.ones(MAX_EXACT_N + 1, dtype=np.int64)])
+
+
+class TestIslTotals:
+    """The streamed totals against isl_report and the correlate oracle."""
+
+    @given(
+        base=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=257),
+        offsets=st.lists(st.integers(-600, 600), min_size=1, max_size=6),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_report_and_correlate_oracle(self, base, offsets):
+        n = len(base)
+        rows = [np.roll(base, -t) for t in offsets]
+        got = isl_totals(base, offsets)
+        rep = isl_report(rows)
+        auto = [correlate_energy(r, r) - n * n for r in rows]
+        cross = sum(correlate_energy(a, b) for i, a in enumerate(rows)
+                    for j, b in enumerate(rows) if i != j)
+        assert got.auto_terms.dtype == np.int64
+        assert got.auto_terms.tolist() == rep.auto_terms.tolist() == auto
+        assert type(got.total) is int
+        assert got.total == rep.total == sum(auto) + cross
+        assert got.normalized == rep.normalized == got.total / n**2
+        assert (got.n, got.m) == (n, len(offsets))
+
+    def test_block_sums_exact_where_one_dot_wraps(self):
+        # all-ones rows at M = 1000 and n = MAX_EXACT_N: every column sum
+        # is M (n - k), and sum_k M^2 (n - k)^2 = M^2 n (n + 1) (2n + 1) / 6
+        # is ~4.6e24, far past 2^63
+        m, n = 1000, MAX_EXACT_N
+        colsum = m * np.arange(n, 0, -1, dtype=np.int64)
+        exact = sum(v * v for v in colsum.tolist())
+        assert exact == m * m * n * (n + 1) * (2 * n + 1) // 6 > 2**81
+        assert _sum_of_squares(colsum, m * n) == exact
+        assert int(colsum @ colsum) != exact  # a single int64 dot wraps
+        assert _sum_of_squares(-colsum[::-1], m * n) == exact
+
+    def test_all_ones_pair_at_max_exact_n(self):
+        # the values isl_report's own edge test pins at the same bound
+        n = MAX_EXACT_N
+        energy = n * (2 * n * n + 1) // 3
+        got = isl_totals(np.ones(n, dtype=np.int64), [0, 5])
+        assert got.auto_terms.tolist() == [energy - n * n] * 2
+        assert got.total == 4 * energy - 2 * n * n
+
+    def test_memory_does_not_grow_with_m(self):
+        # O(n): at a fixed n, 64 rows peak within 1.5x of 4 rows; the
+        # (M, n) int64 matrix of isl_report alone would be 10 MB at M = 64
+        n = 20011
+        base = legendre_sequence(n)
+
+        def peak(m):
+            offsets = [p * n // m for p in range(m)]
+            tracemalloc.start()
+            try:
+                isl_totals(base, offsets)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4), peak(64)
+        assert large <= 1.5 * small, (small, large)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_one_fft_round_trip_per_row(self, monkeypatch, m):
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return rfft(*args, **kw)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        isl_totals(legendre_sequence(31), range(m))
+        assert len(calls) == m
+
+    @pytest.mark.parametrize("offset", [0.3, -0.3, np.nan])
+    def test_rounding_residual_guard_raises(self, monkeypatch, offset):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + offset)
+        with pytest.raises(RoundingResidualError, match="sequence 0 .* from an integer"):
+            isl_totals(legendre_sequence(31), [0, 3])
+
+    def test_errors(self):
+        for base in ([1, 0, -1], [[1, 1], [1, -1]], [], [1.0, np.nan]):
+            with pytest.raises(ValueError):
+                isl_totals(base, [0])
+        with pytest.raises(ValueError, match="need 1 <= m"):
+            isl_totals([1, -1, 1], [])
+        with pytest.raises(ValueError, match="need 1 <= m"):
+            isl_totals(np.ones(MAX_EXACT_N, dtype=np.int64), [0] * 1266)
+        with pytest.raises(ValueError, match="overflow int64"):
+            isl_totals(np.ones(MAX_EXACT_N + 1, dtype=np.int64), [0])
 
 
 class TestPeriodicAutocorrelation:

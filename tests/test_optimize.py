@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from islkit.asymptotic import isl_limit
+from islkit.cli import M_CAP
 from islkit.correlation import isl_report
 from islkit.optimize import optimize_rotations
 from islkit.sequences import bind_rotations
@@ -57,6 +58,20 @@ class TestOptimizeRotations:
             res = optimize_rotations(m)
             assert res.fractions == tuple((2 * p - 1) / (4 * m) for p in range(1, m + 1))
             assert res.asym_value == pytest.approx(optimum(m), rel=1e-13)
+
+    def test_value_is_the_closed_form_for_every_m(self):
+        # the printed value rounds the proven optimum, not a float sum of
+        # m^2 pair terms (which printed 261632.166666 at m = 512)
+        for m in range(1, M_CAP + 1):
+            res = optimize_rotations(m)
+            assert res.asym_value == m * m - m + 1 / 6, m
+            assert f"{res.asym_value:.6f}" == f"{m * m - m}.166667", m
+
+    def test_limit_at_the_fractions_meets_the_closed_form(self):
+        # the summed limit agrees to 1e-10 M^2 (worst seen 3.9e-12 M^2, m = 512)
+        for m in sorted({*range(1, M_CAP + 1, 37), 511, 512, 513, M_CAP}):
+            res = optimize_rotations(m)
+            assert abs(isl_limit(res.fractions).total - res.asym_value) <= 1e-10 * m * m, m
 
     def test_rejects_m_below_one(self):
         for m in (0, -3):

@@ -50,13 +50,15 @@ def islkit_imports(module) -> set[str]:
 
 
 def test_optimize_imports_only_asymptotic():
-    assert islkit_imports(islkit.optimize) == {"asymptotic"}
+    # the optimum and its value are both closed-form: no islkit import
+    assert islkit_imports(islkit.optimize) == set()
 
 
 def test_one_caller_per_fft():
     # one power-spectrum primitive under the exact and spectral paths:
-    # rfft only in spectral.power_spectrum, its inverse only in
-    # isl_report, the complex transform only in gf_at_roots
+    # rfft only in spectral.power_spectrum, its inverse only in the row
+    # routine both exact paths share, the complex transform only in
+    # gf_at_roots
     callers = {}
     for layer in ("asymptotic", "cli", "correlation", "optimize", "selfcheck",
                   "sequences", "spectral"):
@@ -71,5 +73,5 @@ def test_one_caller_per_fft():
                         and node.value.attr == "fft"):
                     callers.setdefault(node.attr, set()).add(where)
     assert callers == {"rfft": {"spectral.power_spectrum"},
-                       "irfft": {"correlation.isl_report"},
+                       "irfft": {"correlation._rounded_autocorrelation"},
                        "ifft": {"spectral.gf_at_roots"}}
