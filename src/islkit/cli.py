@@ -23,27 +23,19 @@ from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequ
                         primes_in_range)
 from .spectral import energy_matrix_spectral
 
-# isl above n = SPECTRAL_CHECK_MAX_N, sweep and optimize --exact-check
-# stream their rows (correlation.isl_totals): O(M n log n) time and O(n)
-# memory, so this bound on M x N now limits their time, not their memory.
-# On a 2-core x86-64 host isl at n = 999983 takes ~1.1 s with 4 rotations,
-# ~10.5 s with 64 and ~23.5 s with 128, each at a ~130 MB peak RSS, and
-# 55 rotations at n = 2399993 take ~21 s at ~270 MB.  (When isl built the
-# (M, n) array and its int64 Gram product, 128 rotations at n = 999983
-# peaked near 2.1 GB.)  isl at n <= SPECTRAL_CHECK_MAX_N still builds the
-# array and the pair matrices for its cross-checks: 1000 rotations at
-# n = 199 take ~0.7 s at ~86 MB.
-MAX_SET_ENTRIES = 2**27
-# sweep runs one exact ISL per prime; its work is estimated as M^2 n plus
-# M n log2 n (FFTs), summed over every odd n in range.  The M^2 n term was
-# fitted to the int64 Gram product, which sweep no longer forms, so the
-# estimate now overstates large-M sweeps.  On a 2-core x86-64 host, at the
-# bound, the slowest accepted sweep from n = 3 is M = 1 to n = 31670 at
-# ~8.1 s, where per-prime overhead leads; M = 4 to 14960 takes ~5.9 s,
-# M = 100 to 1204 ~1.8 s (~3.1 s with the Gram product), M = 1000 to 126
-# ~1.0 s (~3.7 s), and the 8 rotations over 23..499 of the README (8.5e6
-# units) ~0.3 s.
-MAX_SWEEP_WORK = 4 * 10**9
+# isl, sweep and optimize --exact-check stream their rows
+# (correlation.isl_totals): M FFT round trips of length ~2n per prime, in
+# O(n) memory, so this bound on M * sum(n) * log2(n_max), summed over
+# every odd n in range, limits their time.  On a 2-core x86-64 host with
+# one BLAS thread, fresh processes, at the bound: isl with 55 rotations
+# at n = 2399993 takes 25-26 s at ~270 MB peak RSS and 140 at n = 999983
+# 21-30 s at ~130 MB; sweeps from n = 3 reach n = 27554 with M = 1
+# (~6.6 s), 14244 with M = 4 (~5.0 s), 3106 with M = 100 (~5.1 s) and
+# 1056 with M = 1000 (~10.4 s, ~53 MB); the 8 rotations over 23..499 of
+# the README take ~0.36 s.  isl at n <= SPECTRAL_CHECK_MAX_N also builds
+# the (M, n) array and the pair matrices for its cross-checks: 1000
+# rotations at n = 199 take ~0.9 s at ~86 MB.
+MAX_EXACT_WORK = 28 * 10**8
 SPECTRAL_CHECK_MAX_N = 199
 # surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
 # peaks near 340 MB, and the cost grows with R^2.
@@ -116,26 +108,18 @@ def _require_prime(n: int) -> int:
     return n
 
 
-def _check_size(m: int, n: int) -> None:
-    # checked before any sequence is built, so a huge set never allocates
-    if n > MAX_EXACT_N:
-        raise UsageError(f"n={n} exceeds {MAX_EXACT_N}, beyond which ISL energies overflow int64")
-    if m * n > MAX_SET_ENTRIES:
-        raise UsageError(f"{m} sequences of length {n} hold m*n={m * n} entries, "
-                         f"more than the bound {MAX_SET_ENTRIES}")
-
-
-def _check_sweep_work(m: int, n_min: int, n_max: int) -> None:
-    # O(1), before any prime is listed; the sum runs over every odd n in
-    # range, an upper bound on the primes
+def _check_exact_work(m: int, n_min: int, n_max: int) -> None:
+    # O(1), before any sequence is built or any prime is listed; the sum
+    # runs over every odd n in range, an upper bound on the primes
+    if n_max > MAX_EXACT_N:
+        raise UsageError(f"n={n_max} exceeds {MAX_EXACT_N}, beyond which ISL energies overflow int64")
     lo, hi = max(n_min, 3) | 1, n_max - 1 + n_max % 2
     if hi < lo:
         return
-    sum_n = ((hi - lo) // 2 + 1) * (lo + hi) // 2
-    work = sum_n * (m * m + m * math.log2(hi))
-    if work > MAX_SWEEP_WORK:
-        raise UsageError(f"sweep of M={m} sequences over n in [{n_min}, {n_max}] needs "
-                         f"~{work:.3g} units of work, more than the bound {MAX_SWEEP_WORK}")
+    work = m * ((hi - lo) // 2 + 1) * (lo + hi) // 2 * math.log2(hi)
+    if work > MAX_EXACT_WORK:
+        raise UsageError(f"M={m} sequences of length n in [{n_min}, {n_max}] need "
+                         f"~{work:.3g} units of work, more than the bound {MAX_EXACT_WORK}")
 
 
 def _check_m(m: int) -> int:
@@ -158,7 +142,7 @@ def _emit(lines, output_path):
 
 def cmd_gen(args) -> int:
     n = _require_prime(args.n)
-    _check_size(1, n)
+    _check_exact_work(1, n, n)
     rset = bind_rotations([parse_fraction(args.fraction)], n)
     seq = rset.sequences()[0]
     _emit([" ".join(str(int(v)) for v in seq)], args.output)
@@ -189,26 +173,25 @@ def _totals(rset):
 
 
 def _crosschecked_totals(rset):
-    """Streamed totals, checked against isl_report's auto and pair terms,
-    which are checked pair by pair against the spectral path."""
+    """Streamed totals, checked against isl_report's total and auto part,
+    whose terms are checked pair by pair against the spectral path."""
     seqs = rset.sequences()
     report = isl_report(seqs)
     _isl_spectral_crosscheck(report, seqs)
     totals = _totals(rset)
     auto_part = sum(report.auto_terms.tolist())
-    terms = auto_part + sum(report.cross_terms.ravel().tolist())
     streamed_auto = sum(totals.auto_terms.tolist())
-    if (totals.total, streamed_auto) != (terms, auto_part):
+    if (totals.total, streamed_auto) != (report.total, auto_part):
         raise ValidationFailure(
             f"streamed total {totals.total} (auto part {streamed_auto}) differs from "
-            f"isl_report's terms {terms} (auto part {auto_part})")
+            f"isl_report's terms {report.total} (auto part {auto_part})")
     return totals
 
 
 def cmd_isl(args) -> int:
     n = _require_prime(args.n)
     fractions = parse_fraction_list(args.fractions)
-    _check_size(len(fractions), n)
+    _check_exact_work(len(fractions), n, n)
     rset = bind_rotations(fractions, n)
     totals = _crosschecked_totals(rset) if n <= SPECTRAL_CHECK_MAX_N else _totals(rset)
     # Python ints: exact at any n, and the same digits as fmt below 10^12
@@ -261,8 +244,7 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"--m {args.m} contradicts {len(fractions)} fractions")
     if args.n_min > args.n_max:
         raise UsageError("--n-min must not exceed --n-max")
-    _check_size(len(fractions), args.n_max)
-    _check_sweep_work(len(fractions), args.n_min, args.n_max)
+    _check_exact_work(len(fractions), args.n_min, args.n_max)
     primes = primes_in_range(max(args.n_min, 3), args.n_max)
     if not primes:
         raise UsageError(f"no odd primes in [{args.n_min}, {args.n_max}]")
@@ -284,7 +266,7 @@ def cmd_optimize(args) -> int:
     ]
     if args.exact_check is not None:
         n = _require_prime(args.exact_check)
-        _check_size(args.m, n)
+        _check_exact_work(args.m, n, n)
         rset = bind_rotations(result.fractions, n)
         normalized = _totals(rset).normalized
         rel = abs(normalized - result.asym_value) / result.asym_value

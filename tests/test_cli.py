@@ -151,23 +151,22 @@ class TestIsl:
             assert "overflow int64" in err
 
     def test_set_size_bound_exits_one_before_building(self, capsys):
-        # 1000 rows at n = 999983 would need ~15 GB
-        assert cli.M_CAP * 999983 > cli.MAX_SET_ENTRIES
+        # 1000 rows at n = 999983 would stream for minutes
         start = time.perf_counter()
         code, lines, err = run(capsys, "isl", "--n", "999983",
                                "--fractions", *["0.25"] * cli.M_CAP)
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert lines == []
-        assert f"more than the bound {cli.MAX_SET_ENTRIES}" in err
+        assert f"more than the bound {cli.MAX_EXACT_WORK}" in err
         assert "Traceback" not in err
 
     def test_set_size_bound_admits_its_extremes(self):
-        # 128 rows at n = 999983 and 55 at the int64 bound fit; one more does not
-        cli._check_size(128, 999983)
-        cli._check_size(55, 2399993)
-        with pytest.raises(cli.UsageError, match="more than the bound"):
-            cli._check_size(56, 2399993)
+        # one sequence at the int64 bound, M_CAP rows on the cross-checked
+        # path and 134 rows at n = 999983 fit
+        cli._check_exact_work(1, 2399993, 2399993)
+        cli._check_exact_work(cli.M_CAP, cli.SPECTRAL_CHECK_MAX_N, cli.SPECTRAL_CHECK_MAX_N)
+        cli._check_exact_work(134, 999983, 999983)
 
     def test_large_n_prints_exact_integers(self, capsys):
         code, lines, _ = run(capsys, "isl", "--n", "300007",
@@ -384,22 +383,26 @@ class TestSweep:
         assert "overflow int64" in err
 
     def test_wide_range_refused_before_listing_primes(self, capsys):
-        # n <= 2399993 passes the size bound; one isl per prime would take hours
+        # n <= 2399993 passes the int64 bound; one isl per prime would take hours
         start = time.perf_counter()
         code, lines, err = run(capsys, "sweep", "--fractions", "0.1",
                                "--n-min", "3", "--n-max", "2399993")
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert lines == []
-        assert f"more than the bound {cli.MAX_SWEEP_WORK}" in err
+        assert f"more than the bound {cli.MAX_EXACT_WORK}" in err
+        assert "Traceback" not in err
 
     def test_thousand_rotations_to_2000_refused(self, capsys):
         fractions = [str(i / cli.M_CAP) for i in range(cli.M_CAP)]
+        start = time.perf_counter()
         code, lines, err = run(capsys, "sweep", "--fractions", *fractions,
                                "--n-min", "3", "--n-max", "2000")
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert lines == []
-        assert f"more than the bound {cli.MAX_SWEEP_WORK}" in err
+        assert f"more than the bound {cli.MAX_EXACT_WORK}" in err
+        assert "Traceback" not in err
 
     def test_benchmark_shape_accepted(self, capsys):
         # 8 fractions over 23..499, as the sweep-small workload runs it
@@ -482,7 +485,7 @@ class TestOptimize:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert lines == []
-        assert f"more than the bound {cli.MAX_SET_ENTRIES}" in err
+        assert f"more than the bound {cli.MAX_EXACT_WORK}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
@@ -496,6 +499,21 @@ class TestOptimize:
             cli.main([*argv, flag, "64"])
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestExactWorkBound:
+    # the largest set at the int64 edge and at n = 999983, and the longest
+    # sweeps from n = 3 with one rotation and with M_CAP: (M, n_min, n_max)
+    @pytest.mark.parametrize("admitted, refused", [
+        ((55, 2399993, 2399993), (56, 2399993, 2399993)),
+        ((140, 999983, 999983), (141, 999983, 999983)),
+        ((1, 3, 27554), (1, 3, 27555)),
+        ((1000, 3, 1056), (1000, 3, 1057)),
+    ])
+    def test_straddle(self, admitted, refused):
+        cli._check_exact_work(*admitted)
+        with pytest.raises(cli.UsageError, match=f"more than the bound {cli.MAX_EXACT_WORK}"):
+            cli._check_exact_work(*refused)
 
 
 class TestValidate:
@@ -762,9 +780,9 @@ _VALUES = {
     "--n": _one(st.one_of(_INTS, _HUGE)),
     "--exact-check": _one(st.one_of(_INTS, _HUGE)),
     "--fraction": _one(_FRACTION),
-    # an accepted list at the bound costs sweep one 1000 x 1000 Gram
-    # product per prime, ~1.5 s over n <= 60, so the long lists sit just
-    # past the bound and each example stays in milliseconds
+    # an accepted list at the bound streams 1000 rows per prime, so sweep
+    # over n <= 60 takes ~0.4-0.8 s; the long lists sit just past the
+    # bound and each example stays in milliseconds
     "--fractions": st.one_of(st.lists(_FRACTION, min_size=0, max_size=4),
                              _repeated(st.just(cli.M_CAP + 1))),
     "--resolution": _one(st.one_of(st.integers(-2, 12), st.just(100000000))),

@@ -1,8 +1,8 @@
 """Golden CLI corpus: exact stdout, stderr and exit code of fixed commands.
 
 golden_cli.json pins what `isl`, `sweep`, `optimize`, `asym`, `surface`
-and `gen` print, two usage errors included, so a change to any path
-behind them that moves a single byte fails here.  `validate` is left
+and `gen` print, usage errors and bound refusals included, so a change
+to any path behind them that moves a single byte fails here.  `validate` is left
 out: its float error digits may legitimately move.  An intended change
 of output edits the pinned text by hand, one entry at a time.
 """
