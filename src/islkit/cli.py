@@ -24,17 +24,17 @@ from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequ
 from .spectral import energy_matrix_spectral
 
 # isl, sweep and optimize --exact-check stream their rows
-# (correlation.isl_totals): M FFT round trips of length ~2n per prime, in
-# O(n) memory, so this bound on M * sum(n) * log2(n_max), summed over
-# every odd n in range, limits their time.  On a 2-core x86-64 host with
+# (correlation.isl_totals): one FFT round trip of length ~2n per block of
+# rotations, in O(n) memory, so this bound on M * sum(n) * log2(n_max),
+# summed over every odd n in range, limits their time.  On a 2-core x86-64 host with
 # one BLAS thread, fresh processes, at the bound: isl with 55 rotations
 # at n = 2399993 takes 25-26 s at ~270 MB peak RSS and 140 at n = 999983
 # 21-30 s at ~130 MB; sweeps from n = 3 reach n = 27554 with M = 1
-# (~6.6 s), 14244 with M = 4 (~5.0 s), 3106 with M = 100 (~5.1 s) and
-# 1056 with M = 1000 (~10.4 s, ~53 MB); the 8 rotations over 23..499 of
-# the README take ~0.36 s.  isl at n <= SPECTRAL_CHECK_MAX_N also builds
+# (~6.6 s), 14244 with M = 4 (~5.0 s), 3106 with M = 100 (~4.6 s) and
+# 1056 with M = 1000 (~3.7 s, ~53 MB); the 8 rotations over 23..499 of
+# the README take ~0.25 s.  isl at n <= SPECTRAL_CHECK_MAX_N also builds
 # the (M, n) array and the pair matrices for its cross-checks: 1000
-# rotations at n = 199 take ~0.9 s at ~86 MB.
+# rotations at n = 199 take ~0.45 s at ~86 MB.
 MAX_EXACT_WORK = 28 * 10**8
 SPECTRAL_CHECK_MAX_N = 199
 # surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and

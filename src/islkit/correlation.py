@@ -1,10 +1,11 @@
 """Correlation sums of antipodal sequences: the exact ISL and its oracle.
 
-Both exact paths round one FFT autocorrelation per sequence to integers,
-checking that no value sat 0.25 or more from its integer: exact by
-check, not by assumption.  `isl_totals` folds each rounded row into a
-running column sum and one row norm and drops it, so it prints every
-total of a rotation set in O(M n log n) time and O(n) memory.
+Both exact paths round FFT autocorrelations to integers, one round trip
+per block of sequences, checking that no value sat 0.25 or more from its
+integer: exact by check, not by assumption.  `isl_totals` folds each
+rounded row into a running column sum and one row norm and drops it, so
+it prints every total of a rotation set in O(M n log n) time and O(n)
+memory.
 `isl_report` keeps the rows and takes every auto and cross energy from
 them as one int64 matrix product, in O(M n log n + M^2 n) time and
 O(M n) memory.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import check_antipodal
-from .spectral import power_spectrum
+from .spectral import _smooth_length, power_spectrum
 
 
 # Largest distance from its integer at which an FFT correlation value
@@ -101,40 +102,49 @@ def cross_energy(a, b) -> float:
     return float(v @ v)
 
 
-def _smooth_length(k: int) -> int:
-    """Smallest integer >= k with no prime factor above 5."""
-    best = 1 << max(k - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            length = p35 << max(0, (k - 1) // p35).bit_length()
-            best = min(best, length)
-            p35 *= 3
-        p5 *= 5
-    return best
+# Values (rows x FFT length) per FFT round trip on the exact path: a block
+# of B = max(1, min(M, _BLOCK_VALUES // L)) rows of smooth length L shares
+# one power_spectrum, one irfft and one rint, which at a sweep's small n
+# cost less than the ~25 numpy calls a row pays on its own.  Where B > 1
+# the float buffer and its spectrum hold at most 2^14 values (128 KB)
+# each, the gathered rows, their index and the rounded lags at most
+# 64 KB each: under 0.5 MB in all.  Past L = 2^13 (n > 4096) every block
+# is one row, as at n ~ 20 000 and n ~ 10^6, with O(n) buffers.  A budget
+# of 2^16 made 8 rows at n = 12007 ~30% slower per call than one row at a
+# time: buffers that large fault in fresh pages on every call (~1.2k
+# minor faults).
+_BLOCK_VALUES = 1 << 14
 
 
-def _rounded_autocorrelation(row, p: int, corr: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Lags 0..n-1 of antipodal row p's aperiodic autocorrelation, rounded
-    into the int64 buffer out (length n) and returned in it.
+def _block_rows(m: int, length: int) -> int:
+    """Rows per FFT round trip for m rows transformed at `length`."""
+    return max(1, min(m, _BLOCK_VALUES // length))
 
-    One FFT round trip (spectral.power_spectrum, then irfft) on the
-    2*3*5-smooth length of the float buffer corr, >= 2n-1, so no lag
-    wraps; corr is reused across rows because a fresh output per row
-    costs faults and peak memory.  Raises RoundingResidualError if a
-    value is not within MAX_ROUNDING_RESIDUAL of an integer.
+
+def _rounded_autocorrelation(rows, p: int, corr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lags 0..n-1 of the aperiodic autocorrelations of a (B, n) block of
+    antipodal rows, the first of which is sequence p, rounded into the
+    (B, n) int64 buffer out and returned in it.
+
+    One FFT round trip for the whole block (spectral.power_spectrum, then
+    irfft) on the 2*3*5-smooth length of the float buffer corr, >= 2n-1,
+    so no lag wraps; corr has at least B rows and is reused across blocks
+    because a fresh output per block costs faults and peak memory.  Raises
+    RoundingResidualError, naming the first failing row, if a value is not
+    within MAX_ROUNDING_RESIDUAL of an integer.
     """
-    n, length = len(out), len(corr)
-    lags = np.fft.irfft(power_spectrum(row, length), length, out=corr)[:n]
+    b, n = out.shape
+    length = corr.shape[-1]
+    lags = np.fft.irfft(power_spectrum(rows, length), length, out=corr[:b])[:, :n]
     with np.errstate(invalid="ignore"):  # a NaN fails the residual check
         np.rint(lags, out=out, casting="unsafe")
     lags -= out
-    residual = max(lags.max(), -lags.min())
-    if not residual < MAX_ROUNDING_RESIDUAL:
+    if not max(lags.max(), -lags.min()) < MAX_ROUNDING_RESIDUAL:
+        residual = np.maximum(lags.max(axis=1), -lags.min(axis=1))  # NaN stays NaN
+        i = int(np.argmax(~(residual < MAX_ROUNDING_RESIDUAL)))
         raise RoundingResidualError(
-            f"FFT autocorrelation of sequence {p} (n={n}) lies "
-            f"{residual:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
+            f"FFT autocorrelation of sequence {p + i} (n={n}) lies "
+            f"{residual[i]:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
         )
     return out
 
@@ -162,11 +172,11 @@ def isl_totals(base, offsets) -> IslTotals:
     Summed over all (p, q), the energies 2 R R^T - n^2 of isl_report are
     2 |sum_p r_p|^2 - M^2 n^2 (the paper's circle sum over the 2n-th
     roots, read in the lag domain); the total drops the M mainlobes n^2,
-    and the auto term of row p is 2 |r_p|^2 - 2 n^2.  So each row, a
-    view of the doubled base checked for +-1 once, is transformed,
-    rounded and checked as in isl_report, then folded into an int64
-    column sum and its norm, and dropped: no (M, n) array is formed.
-    Raises RoundingResidualError as isl_report does.
+    and the auto term of row p is 2 |r_p|^2 - 2 n^2.  So the rows, read
+    from the doubled base checked for +-1 once, are transformed, rounded
+    and checked a block at a time as in isl_report, then folded into an
+    int64 column sum and their norms, and dropped: no (M, n) array is
+    formed.  Raises RoundingResidualError as isl_report does.
     """
     base = check_antipodal(base)
     if base.ndim != 1:
@@ -179,16 +189,23 @@ def isl_totals(base, offsets) -> IslTotals:
         raise ValueError(f"{m} rotations of length {n}: need 1 <= m <= "
                          f"{math.isqrt(_INT64_MAX) // n}")
     doubled = np.concatenate([base, base], dtype=np.float64)  # exact; rfft casts no row
-    corr = np.empty(_smooth_length(2 * n - 1))
-    lags = np.empty(n, dtype=np.int64)
+    starts = np.mod(offsets, n)
+    length = _smooth_length(2 * n - 1)
+    block = _block_rows(m, length)
+    corr = np.empty((block, length))
+    buf = np.empty((block, n), dtype=np.int64)
     colsum = np.zeros(n, dtype=np.int64)
-    auto = np.empty(m, dtype=np.int64)
-    for p, t in enumerate(offsets):
-        t %= n
-        _rounded_autocorrelation(doubled[t:t + n], p, corr, lags)
-        colsum += lags
-        # |r_p(k)| <= n - k, so 2 |r_p|^2 <= n (n + 1) (2n + 1) / 3 < 2^63
-        auto[p] = 2 * (lags @ lags) - 2 * n * n
+    norms = np.empty(m, dtype=np.int64)
+    for p in range(0, m, block):
+        t = starts[p:p + block]
+        # a one-row block is a view and adds its row uncopied: at n ~ 10^6
+        # a gathered row and its index take 16 MB, a row sum 8 MB more
+        rows = doubled[t[:, None] + np.arange(n)] if block > 1 else doubled[None, t[0]:t[0] + n]
+        lags = _rounded_autocorrelation(rows, p, corr, buf[:len(t)])
+        colsum += lags.sum(axis=0) if block > 1 else lags[0]
+        np.einsum("ij,ij->i", lags, lags, out=norms[p:p + block])
+    # |r_p(k)| <= n - k, so 2 |r_p|^2 <= n (n + 1) (2n + 1) / 3 < 2^63
+    auto = 2 * norms - 2 * n * n
     total = 2 * _sum_of_squares(colsum, m * n) - (m * m + m) * n * n
     return IslTotals(auto_terms=auto, total=total, normalized=total / n**2, n=n, m=m)
 
@@ -196,10 +213,10 @@ def isl_totals(base, offsets) -> IslTotals:
 def isl_report(seqs) -> IslReport:
     """Integrated sidelobe level of a set, assembled term by term.
 
-    seqs is an (M, n) array-like of antipodal rows.  Row p's lags
-    0..n-1, from one checked FFT round trip, are rounded into row p of
-    the int64 autocorrelation matrix R.  By the paper's circle-sum
-    identity read in the lag domain, sum_k X_pq(k)^2 =
+    seqs is an (M, n) array-like of antipodal rows.  Each row's lags
+    0..n-1, from checked FFT round trips a block of rows at a time, are
+    rounded into its row of the int64 autocorrelation matrix R.  By the
+    paper's circle-sum identity read in the lag domain, sum_k X_pq(k)^2 =
     sum_k r_p(k) r_q(k), so the energy matrix is 2 R R^T - n^2.  Raises
     RoundingResidualError if a rounded value is not within
     MAX_ROUNDING_RESIDUAL of an integer.  isl_totals gives the same
@@ -212,9 +229,11 @@ def isl_report(seqs) -> IslReport:
     if n > MAX_EXACT_N:
         raise ValueError(f"n={n} exceeds {MAX_EXACT_N}, beyond which energies overflow int64")
     autocorr = np.empty((m, n), dtype=np.int64)
-    corr = np.empty(_smooth_length(2 * n - 1))
-    for p in range(m):
-        _rounded_autocorrelation(seqs[p], p, corr, autocorr[p])
+    length = _smooth_length(2 * n - 1)
+    block = _block_rows(m, length)
+    corr = np.empty((block, length))
+    for p in range(0, m, block):
+        _rounded_autocorrelation(seqs[p:p + block], p, corr, autocorr[p:p + block])
     energy = 2 * (autocorr @ autocorr.T) - n * n
     auto = energy.diagonal() - n * n
     np.fill_diagonal(energy, 0)

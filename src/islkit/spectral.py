@@ -4,9 +4,12 @@ For odd length n, the sum of squared cross-correlations of two real
 sequences equals (S_plus + S_minus) / (2n), where S_plus and S_minus are
 the sums over the n-th roots of unity (resp. their negatives) of
 |Q_a(z) Q_b*(z)|^2.  The n-th roots and their negatives are together the
-2n-th roots of unity, so both sums come from one length-2n power
-spectrum per sequence (`power_spectrum`, shared with `isl_report`), and
-a set's energies are one Gram matrix.  S_minus additionally admits a
+2n-th roots of unity; any L >= 2n - 1 roots serve as well, since the
+2n - 1 lags of a correlation fit in a length-L transform without
+wrapping.  So a set's energies are one Gram matrix of power spectra
+(`power_spectrum`, shared with the exact path) at the same 2*3*5-smooth
+length L >= 2n - 1 the exact path uses, where numpy's FFT needs no
+generic radix-n pass for a prime n.  S_minus additionally admits a
 closed-form expansion through partial-fraction kernel sums over
 quadruples of root indices, which collapses to O(n^2) sums; every
 closed form has a direct twin.
@@ -43,20 +46,38 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:
     return a, b, len(a)
 
 
+def _row_sums(terms, rows: int, n: int, dtype) -> np.ndarray:
+    """Sums along each of `rows` rows of n terms, terms(rows_slice) giving
+    a block of rows as an array, ~4096 terms (64 KB complex) per block.
+
+    A row sum, not a matrix product: each row sums in the same order
+    whether it comes alone or in a block.  Small blocks, because one
+    block of every row is fresh memory on each call: in a fresh process
+    the kernel-twin check at n <= 101 took ~35 ms this way and ~65 ms
+    with one 500 x n block per n.
+    """
+    out = np.empty(rows, dtype=dtype)
+    step = max(1, 4096 // max(n, 1))
+    for i0 in range(0, rows, step):
+        out[i0:i0 + step] = terms(slice(i0, i0 + step)).sum(axis=-1)
+    return out
+
+
 def gf_eval(seq, z):
     """Generating-function value sum_j a_j z^j, at a scalar z or
     elementwise over an array of points: each point's row of increasing
-    powers z^0 .. z^(n-1) (np.vander, O(n) memory per point) times the
-    coefficients, summed along the row.  The direct twin of the FFT and
+    powers z^0 .. z^(n-1) (np.vander) times the coefficients, summed
+    along the row by _row_sums.  The direct twin of the FFT and
     interpolation routes."""
     seq = np.asarray(seq)
     z = np.asarray(z)
     points = z.reshape(-1).astype(np.result_type(z, seq))
-    terms = np.vander(points, len(seq), increasing=True)
-    terms *= seq
-    # a row sum, not a matrix product: each point sums in the same order
-    # whether it comes alone or in an array
-    return terms.sum(axis=-1).reshape(z.shape)[()]
+
+    def terms(rows):
+        powers = np.vander(points[rows], len(seq), increasing=True)
+        powers *= seq
+        return powers
+    return _row_sums(terms, len(points), len(seq), points.dtype).reshape(z.shape)[()]
 
 
 def gf_at_roots(seq) -> np.ndarray:
@@ -67,6 +88,20 @@ def gf_at_roots(seq) -> np.ndarray:
     """
     a = np.asarray(seq, dtype=np.float64)
     return a.shape[-1] * np.fft.ifft(a)
+
+
+def _smooth_length(k: int) -> int:
+    """Smallest integer >= k with no prime factor above 5."""
+    best = 1 << max(k - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            length = p35 << max(0, (k - 1) // p35).bit_length()
+            best = min(best, length)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def power_spectrum(rows, length: int) -> np.ndarray:
@@ -128,7 +163,7 @@ def power_sum_at_negated_roots(a, b) -> float:
 def interpolate_negated_root(at_roots, j):
     """Reconstruct the polynomial value at -eps_j from its values at the
     n-th roots of unity (n odd), for a scalar j or elementwise over an
-    array of j (O(n) memory per j).
+    array of j, the weighted rows summed by _row_sums.
 
     Lagrange interpolation on the roots of unity collapses to the weights
     (2/n) eps_k / (eps_j + eps_k) = (2/n) / (1 + eps_((j - k) mod n)), so
@@ -142,22 +177,31 @@ def interpolate_negated_root(at_roots, j):
     # `unrolled` (unrolled[d] = table[(n - 1 - d) mod n]) that starts at n - 1 - j
     unrolled = table[(n - 1 - np.arange(2 * n - 1)) % n]
     j = np.asarray(j)
-    weights = sliding_window_view(unrolled, n)[n - 1 - j.reshape(-1) % n]
-    weights *= at_roots
-    # a row sum, not a matrix product: each j sums in the same order
-    # whether it comes alone or in an array
-    return (2.0 / n) * weights.sum(axis=-1).reshape(j.shape)[()]
+    starts = n - 1 - j.reshape(-1) % n
+    windows = sliding_window_view(unrolled, n)
+
+    def terms(rows):
+        weights = windows[starts[rows]]
+        weights *= at_roots
+        return weights
+    return (2.0 / n) * _row_sums(terms, len(starts), n, np.complex128).reshape(j.shape)[()]
 
 
 def energy_matrix_spectral(rows) -> np.ndarray:
     """(M, M) cross-correlation energies, all lags, of M rows of odd length
-    n: 1/2n of the Gram matrix of the rows' |Q|^2 over the 2n-th roots, in
-    which power bins 1 .. n-1 each stand for a conjugate pair.  The diagonal
-    minus n^2 (the lag-0 mainlobe) is each row's auto sidelobe energy."""
+    n: 1/L of the Gram matrix of the rows' |Q|^2 at the L-th roots of
+    unity, L = _smooth_length(2n - 1), where the 2n - 1 lags of every
+    correlation fit without wrapping.  Power bins other than 0 and L/2
+    each stand for a conjugate pair, so they carry the weight sqrt(2).
+    The diagonal minus n^2 (the lag-0 mainlobe) is each row's auto
+    sidelobe energy."""
     n = np.shape(rows)[-1]
     _require_odd(n)
-    power = power_spectrum(rows, 2 * n).real * np.where(np.arange(n + 1) % n, np.sqrt(2.0), 1.0)
-    return power @ power.T / (2 * n)
+    length = _smooth_length(2 * n - 1)
+    # bins k with 2k = 0 (mod L), 0 and L/2, are their own conjugates
+    weights = np.where(2 * np.arange(length // 2 + 1) % length, np.sqrt(2.0), 1.0)
+    power = power_spectrum(rows, length).real * weights
+    return power @ power.T / length
 
 
 def kernel_sums_direct(quads, n: int) -> np.ndarray:
@@ -169,25 +213,21 @@ def kernel_sums_direct(quads, n: int) -> np.ndarray:
     the product over the four slots of h_j / (eps_j + eps_{q_i}), an
     entry of one n x n table (O(n^2) memory).  Each quadruple's row of
     terms is four gathered table rows multiplied together, summed along
-    the row.
+    the row by _row_sums.
     """
     _require_odd(n)
     quads = np.asarray(quads, dtype=np.int64) % n
     eps = roots_of_unity(n)
     half = np.exp(1j * np.pi * np.arange(n) / n)  # h_j, h_j^2 = eps_j
     table = half / np.add.outer(eps, eps)
-    out = np.empty(len(quads), dtype=np.complex128)
-    # blocks of ~4096 terms (64 KB): in a fresh process the kernel-twin
-    # check at n <= 101 took ~35 ms this way and ~65 ms with one 500 x n
-    # block per n, whose temporaries are fresh memory on every call
-    step = max(1, 4096 // n)
-    for i0 in range(0, len(quads), step):
-        q = quads[i0:i0 + step]
-        terms = table[q[:, 0]]
+
+    def terms(rows):
+        q = quads[rows]
+        product = table[q[:, 0]]
         for c in range(1, 4):
-            terms *= table[q[:, c]]
-        out[i0:i0 + step] = terms.sum(axis=1)
-    return out
+            product *= table[q[:, c]]
+        return product
+    return _row_sums(terms, len(quads), n, np.complex128)
 
 
 def kernel_sums_closed_form(quads, n: int) -> np.ndarray:

@@ -209,8 +209,12 @@ class TestFftIslReport:
 
         monkeypatch.setattr(np.fft, "rfft", counted)
         rng = np.random.default_rng(m)
+        # one round trip per block of rows: at n = 31 (L = 64) a block
+        # holds all m rows, at n = 32771 (L = 65610 > 2^16) one row
         isl_report(rng.choice([-1, 1], (m, 31)))
-        assert len(calls) == m
+        assert len(calls) == 1
+        isl_report(rng.choice([-1, 1], (m, 32771)))
+        assert len(calls) == 1 + m
 
     @pytest.mark.parametrize("offset", [0.3, -0.3])
     def test_rounding_residual_guard_raises(self, monkeypatch, offset):
@@ -322,8 +326,11 @@ class TestIslTotals:
             return rfft(*args, **kw)
 
         monkeypatch.setattr(np.fft, "rfft", counted)
+        # one round trip per block of rows, as in isl_report's pin
         isl_totals(legendre_sequence(31), range(m))
-        assert len(calls) == m
+        assert len(calls) == 1
+        isl_totals(np.random.default_rng(m).choice([-1, 1], 32771), range(m))
+        assert len(calls) == 1 + m
 
     @pytest.mark.parametrize("offset", [0.3, -0.3, np.nan])
     def test_rounding_residual_guard_raises(self, monkeypatch, offset):
@@ -342,6 +349,62 @@ class TestIslTotals:
             isl_totals(np.ones(MAX_EXACT_N, dtype=np.int64), [0] * 1266)
         with pytest.raises(ValueError, match="overflow int64"):
             isl_totals(np.ones(MAX_EXACT_N + 1, dtype=np.int64), [0])
+
+
+class TestBlockedRoundTrips:
+    """Both exact paths transform, round and check a block of rows per FFT
+    round trip; at n = 499 (L = 1000) a block holds 16 rows."""
+
+    N, M = 499, 40  # blocks of 16, 16 and 8 rows
+
+    def test_partial_blocks_match_report_and_correlate_oracle(self, monkeypatch):
+        n, m = self.N, self.M
+        rng = np.random.default_rng(19)
+        base = rng.choice([-1, 1], n)
+        offsets = rng.integers(-3 * n, 3 * n, size=m)
+        rows = np.array([np.roll(base, -t) for t in offsets], dtype=np.float64)
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(*args, **kw):
+            calls.append(np.shape(args[0]))
+            return rfft(*args, **kw)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        got = isl_totals(base, offsets)
+        rep = isl_report(rows)
+        assert calls == [(16, n), (16, n), (8, n)] * 2
+        autos = [np.correlate(r, r, mode="full") for r in rows]
+        auto = [int(v @ v) - n * n for v in autos]
+        # X_qp(k) = X_pq(-k), so each unordered pair counts twice
+        cross = 2 * sum(int(v @ v) for p in range(m) for q in range(p + 1, m)
+                        for v in [np.correlate(rows[q], rows[p], mode="full")])
+        assert got.auto_terms.tolist() == rep.auto_terms.tolist() == auto
+        assert got.total == rep.total == sum(auto) + cross
+
+    @pytest.mark.parametrize("offset", [0.3, np.nan])
+    @pytest.mark.parametrize("call, row", [(0, 5), (1, 3), (2, 7)])
+    def test_residual_names_its_own_row(self, monkeypatch, offset, call, row):
+        # a fault planted in one row of one block names that row, not the
+        # block's first
+        irfft = np.fft.irfft
+        calls = []
+
+        def planted(*args, **kw):
+            out = irfft(*args, **kw)
+            if len(calls) == call:
+                out[row] += offset
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", planted)
+        base = legendre_sequence(self.N)
+        match = f"sequence {16 * call + row} \\(n={self.N}\\)"
+        with pytest.raises(RoundingResidualError, match=match):
+            isl_totals(base, range(self.M))
+        calls.clear()
+        with pytest.raises(RoundingResidualError, match=match):
+            isl_report([np.roll(base, -t) for t in range(self.M)])
 
 
 class TestPeriodicAutocorrelation:
