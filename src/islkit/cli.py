@@ -102,15 +102,19 @@ def parse_fraction_list(tokens) -> list[float]:
     return [parse_fraction(t) for t in tokens]
 
 
-def _require_prime(n: int) -> int:
+def _exact_length(n: int, m: int) -> int:
+    """n, once m rotations of it pass the O(1) work bound and n is an odd
+    prime: Miller-Rabin on a ~1300-digit n takes seconds."""
+    _check_exact_work(m, n, n)
     if n == 2 or not is_prime(n):
         raise UsageError(f"n must be an odd prime, got {n}")
     return n
 
 
 def _check_exact_work(m: int, n_min: int, n_max: int) -> None:
-    # O(1), before any sequence is built or any prime is listed; the sum
-    # runs over every odd n in range, an upper bound on the primes
+    # O(1), before any sequence is built, any prime is listed or n is
+    # tested; the sum runs over every odd n in range, an upper bound on
+    # the primes
     if n_max > MAX_EXACT_N:
         raise UsageError(f"n={n_max} exceeds {MAX_EXACT_N}, beyond which ISL energies overflow int64")
     lo, hi = max(n_min, 3) | 1, n_max - 1 + n_max % 2
@@ -141,8 +145,7 @@ def _emit(lines, output_path):
 
 
 def cmd_gen(args) -> int:
-    n = _require_prime(args.n)
-    _check_exact_work(1, n, n)
+    n = _exact_length(args.n, 1)
     rset = bind_rotations([parse_fraction(args.fraction)], n)
     seq = rset.sequences()[0]
     _emit([" ".join(str(int(v)) for v in seq)], args.output)
@@ -189,9 +192,8 @@ def _crosschecked_totals(rset):
 
 
 def cmd_isl(args) -> int:
-    n = _require_prime(args.n)
     fractions = parse_fraction_list(args.fractions)
-    _check_exact_work(len(fractions), n, n)
+    n = _exact_length(args.n, len(fractions))
     rset = bind_rotations(fractions, n)
     totals = _crosschecked_totals(rset) if n <= SPECTRAL_CHECK_MAX_N else _totals(rset)
     # Python ints: exact at any n, and the same digits as fmt below 10^12
@@ -265,8 +267,7 @@ def cmd_optimize(args) -> int:
         " ".join(f"{f:.6g}" for f in result.fractions) + f"  {result.asym_value:.6f}"
     ]
     if args.exact_check is not None:
-        n = _require_prime(args.exact_check)
-        _check_exact_work(args.m, n, n)
+        n = _exact_length(args.exact_check, args.m)
         rset = bind_rotations(result.fractions, n)
         normalized = _totals(rset).normalized
         rel = abs(normalized - result.asym_value) / result.asym_value

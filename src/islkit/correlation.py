@@ -1,14 +1,15 @@
 """Correlation sums of antipodal sequences: the exact ISL and its oracle.
 
-Both exact paths round FFT autocorrelations to integers, one round trip
-per block of sequences, checking that no value sat 0.25 or more from its
-integer: exact by check, not by assumption.  `isl_totals` folds each
-rounded row into a running column sum and one row norm and drops it, so
-it prints every total of a rotation set in O(M n log n) time and O(n)
+One row engine, `_rounded_autocorrelation`, serves the exact ISL: it
+rounds FFT autocorrelations to integers, one round trip per block of
+rows, and checks that no value sat 0.25 or more from its integer: exact
+by check, not by assumption.  Both entry points fold its blocks.
+`isl_totals` adds each block into a running column sum and the row
+norms and drops it, so it prints every total of a rotation set in
+O(M n log n) time and O(n) memory.  `isl_report` copies each block into
+the autocorrelation matrix R and takes every auto and cross energy from
+it as one int64 matrix product, in O(M n log n + M^2 n) time and O(M n)
 memory.
-`isl_report` keeps the rows and takes every auto and cross energy from
-them as one int64 matrix product, in O(M n log n + M^2 n) time and
-O(M n) memory.
 
 `aperiodic_correlation` and the energies built on it use plain sliding
 products (numpy's direct correlate, no FFT).  They are the oracle the
@@ -18,6 +19,7 @@ FFT, spectral and asymptotic paths are checked against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +47,7 @@ class IslTotals:
 
     auto_terms[p] (int64) is the sidelobe energy of sequence p, lag 0
     excluded; total, a Python int, adds every ordered pair's cross
-    energy to their sum; normalized is total / n^2.  The same values as
-    the IslReport fields of the same names.
+    energy to their sum; normalized is total / n^2.
     """
 
     auto_terms: np.ndarray
@@ -57,22 +58,12 @@ class IslTotals:
 
 
 @dataclass(frozen=True)
-class IslReport:
-    """Integrated sidelobe level of a sequence set, term by term.
+class IslReport(IslTotals):
+    """The totals of a sequence set with its pairs: cross_terms[p][q]
+    (int64) is the full cross-correlation energy of the pair (all lags,
+    diagonal empty)."""
 
-    auto_terms[p] is the sidelobe energy of sequence p (lag 0 excluded),
-    cross_terms[p][q] the full cross-correlation energy of the pair
-    (all lags, diagonal empty); both are int64.  total, a Python int,
-    sums auto terms plus both ordered cross terms per pair; normalized
-    is total / n^2.
-    """
-
-    auto_terms: np.ndarray
     cross_terms: np.ndarray
-    total: int
-    normalized: float
-    n: int
-    m: int
 
 
 def aperiodic_correlation(a, b) -> np.ndarray:
@@ -116,37 +107,38 @@ def cross_energy(a, b) -> float:
 _BLOCK_VALUES = 1 << 14
 
 
-def _block_rows(m: int, length: int) -> int:
-    """Rows per FFT round trip for m rows transformed at `length`."""
-    return max(1, min(m, _BLOCK_VALUES // length))
+def _rounded_autocorrelation(m: int, n: int, block_at):
+    """Lags 0..n-1 of the aperiodic autocorrelations of m antipodal rows
+    of length n, rounded to int64 and yielded as (p, lags) a block of
+    rows p..p+B-1 at a time; block_at(p, B) returns those rows.
 
-
-def _rounded_autocorrelation(rows, p: int, corr: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Lags 0..n-1 of the aperiodic autocorrelations of a (B, n) block of
-    antipodal rows, the first of which is sequence p, rounded into the
-    (B, n) int64 buffer out and returned in it.
-
-    One FFT round trip for the whole block (spectral.power_spectrum, then
-    irfft) on the 2*3*5-smooth length of the float buffer corr, >= 2n-1,
-    so no lag wraps; corr has at least B rows and is reused across blocks
-    because a fresh output per block costs faults and peak memory.  Raises
-    RoundingResidualError, naming the first failing row, if a value is not
-    within MAX_ROUNDING_RESIDUAL of an integer.
+    One FFT round trip per block (spectral.power_spectrum, then irfft) on
+    the 2*3*5-smooth length L >= 2n-1, so no lag wraps, with B = max(1,
+    min(m, _BLOCK_VALUES // L)).  The float and int64 buffers are reused
+    across blocks, because a fresh output per block costs faults and peak
+    memory: each yielded lags is a view that the next block overwrites.
+    Raises RoundingResidualError, naming the first failing row, if a value
+    is not within MAX_ROUNDING_RESIDUAL of an integer.
     """
-    b, n = out.shape
-    length = corr.shape[-1]
-    lags = np.fft.irfft(power_spectrum(rows, length), length, out=corr[:b])[:, :n]
-    with np.errstate(invalid="ignore"):  # a NaN fails the residual check
-        np.rint(lags, out=out, casting="unsafe")
-    lags -= out
-    if not max(lags.max(), -lags.min()) < MAX_ROUNDING_RESIDUAL:
-        residual = np.maximum(lags.max(axis=1), -lags.min(axis=1))  # NaN stays NaN
-        i = int(np.argmax(~(residual < MAX_ROUNDING_RESIDUAL)))
-        raise RoundingResidualError(
-            f"FFT autocorrelation of sequence {p + i} (n={n}) lies "
-            f"{residual[i]:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
-        )
-    return out
+    length = _smooth_length(2 * n - 1)
+    block = max(1, min(m, _BLOCK_VALUES // length))
+    corr = np.empty((block, length))
+    buf = np.empty((block, n), dtype=np.int64)
+    for p in range(0, m, block):
+        b = min(block, m - p)
+        lags = np.fft.irfft(power_spectrum(block_at(p, b), length), length, out=corr[:b])[:, :n]
+        out = buf[:b]
+        with np.errstate(invalid="ignore"):  # a NaN fails the residual check
+            np.rint(lags, out=out, casting="unsafe")
+        lags -= out
+        if not max(lags.max(), -lags.min()) < MAX_ROUNDING_RESIDUAL:
+            residual = np.maximum(lags.max(axis=1), -lags.min(axis=1))  # NaN stays NaN
+            i = int(np.argmax(~(residual < MAX_ROUNDING_RESIDUAL)))
+            raise RoundingResidualError(
+                f"FFT autocorrelation of sequence {p + i} (n={n}) lies "
+                f"{residual[i]:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
+            )
+        yield p, out
 
 
 def _sum_of_squares(values: np.ndarray, bound: int) -> int:
@@ -172,11 +164,11 @@ def isl_totals(base, offsets) -> IslTotals:
     Summed over all (p, q), the energies 2 R R^T - n^2 of isl_report are
     2 |sum_p r_p|^2 - M^2 n^2 (the paper's circle sum over the 2n-th
     roots, read in the lag domain); the total drops the M mainlobes n^2,
-    and the auto term of row p is 2 |r_p|^2 - 2 n^2.  So the rows, read
-    from the doubled base checked for +-1 once, are transformed, rounded
-    and checked a block at a time as in isl_report, then folded into an
-    int64 column sum and their norms, and dropped: no (M, n) array is
-    formed.  Raises RoundingResidualError as isl_report does.
+    and the auto term of row p is 2 |r_p|^2 - 2 n^2.  So the engine's
+    blocks of rows, read from the doubled base checked for +-1 once, are
+    folded into an int64 column sum and their norms, and dropped: no
+    (M, n) array is formed.  Offsets may be any integers, taken mod n.
+    Raises RoundingResidualError as isl_report does.
     """
     base = check_antipodal(base)
     if base.ndim != 1:
@@ -188,22 +180,24 @@ def isl_totals(base, offsets) -> IslTotals:
         # every column sum lies within m n, and its square must fit int64
         raise ValueError(f"{m} rotations of length {n}: need 1 <= m <= "
                          f"{math.isqrt(_INT64_MAX) // n}")
+    try:
+        starts = np.array([operator.index(t) % n for t in offsets], dtype=np.int64)
+    except TypeError as exc:  # a float offset names no rotation
+        raise ValueError(f"offsets must be integers: {exc}") from None
     doubled = np.concatenate([base, base], dtype=np.float64)  # exact; rfft casts no row
-    starts = np.mod(offsets, n)
-    length = _smooth_length(2 * n - 1)
-    block = _block_rows(m, length)
-    corr = np.empty((block, length))
-    buf = np.empty((block, n), dtype=np.int64)
+
+    # a one-row block is a view and adds its row uncopied: at n ~ 10^6 a
+    # gathered row and its index take 16 MB, a row sum 8 MB more
+    def block_at(p, b):
+        if b == 1:
+            return doubled[None, starts[p]:starts[p] + n]
+        return doubled[starts[p:p + b, None] + np.arange(n)]
+
     colsum = np.zeros(n, dtype=np.int64)
     norms = np.empty(m, dtype=np.int64)
-    for p in range(0, m, block):
-        t = starts[p:p + block]
-        # a one-row block is a view and adds its row uncopied: at n ~ 10^6
-        # a gathered row and its index take 16 MB, a row sum 8 MB more
-        rows = doubled[t[:, None] + np.arange(n)] if block > 1 else doubled[None, t[0]:t[0] + n]
-        lags = _rounded_autocorrelation(rows, p, corr, buf[:len(t)])
-        colsum += lags.sum(axis=0) if block > 1 else lags[0]
-        np.einsum("ij,ij->i", lags, lags, out=norms[p:p + block])
+    for p, lags in _rounded_autocorrelation(m, n, block_at):
+        colsum += lags[0] if len(lags) == 1 else lags.sum(axis=0)
+        np.einsum("ij,ij->i", lags, lags, out=norms[p:p + len(lags)])
     # |r_p(k)| <= n - k, so 2 |r_p|^2 <= n (n + 1) (2n + 1) / 3 < 2^63
     auto = 2 * norms - 2 * n * n
     total = 2 * _sum_of_squares(colsum, m * n) - (m * m + m) * n * n
@@ -213,14 +207,13 @@ def isl_totals(base, offsets) -> IslTotals:
 def isl_report(seqs) -> IslReport:
     """Integrated sidelobe level of a set, assembled term by term.
 
-    seqs is an (M, n) array-like of antipodal rows.  Each row's lags
-    0..n-1, from checked FFT round trips a block of rows at a time, are
-    rounded into its row of the int64 autocorrelation matrix R.  By the
-    paper's circle-sum identity read in the lag domain, sum_k X_pq(k)^2 =
-    sum_k r_p(k) r_q(k), so the energy matrix is 2 R R^T - n^2.  Raises
-    RoundingResidualError if a rounded value is not within
-    MAX_ROUNDING_RESIDUAL of an integer.  isl_totals gives the same
-    totals without the pairs, in O(n) memory.
+    seqs is an (M, n) array-like of antipodal rows.  The engine's rounded
+    lags 0..n-1 of each row are copied into its row of the int64
+    autocorrelation matrix R.  By the paper's circle-sum identity read in
+    the lag domain, sum_k X_pq(k)^2 = sum_k r_p(k) r_q(k), so the energy
+    matrix is 2 R R^T - n^2.  Raises RoundingResidualError if a rounded
+    value is not within MAX_ROUNDING_RESIDUAL of an integer.  isl_totals
+    gives the same totals without the pairs, in O(n) memory.
     """
     seqs = check_antipodal(seqs)
     if seqs.ndim != 2:
@@ -229,23 +222,14 @@ def isl_report(seqs) -> IslReport:
     if n > MAX_EXACT_N:
         raise ValueError(f"n={n} exceeds {MAX_EXACT_N}, beyond which energies overflow int64")
     autocorr = np.empty((m, n), dtype=np.int64)
-    length = _smooth_length(2 * n - 1)
-    block = _block_rows(m, length)
-    corr = np.empty((block, length))
-    for p in range(0, m, block):
-        _rounded_autocorrelation(seqs[p:p + block], p, corr, autocorr[p:p + block])
+    for p, lags in _rounded_autocorrelation(m, n, lambda p, b: seqs[p:p + b]):
+        autocorr[p:p + len(lags)] = lags
     energy = 2 * (autocorr @ autocorr.T) - n * n
     auto = energy.diagonal() - n * n
     np.fill_diagonal(energy, 0)
     total = sum(auto.tolist()) + sum(energy.ravel().tolist())
-    return IslReport(
-        auto_terms=auto,
-        cross_terms=energy,
-        total=total,
-        normalized=total / n**2,
-        n=n,
-        m=m,
-    )
+    return IslReport(auto_terms=auto, total=total, normalized=total / n**2, n=n, m=m,
+                     cross_terms=energy)
 
 
 def periodic_autocorrelation(a) -> np.ndarray:

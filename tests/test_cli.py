@@ -515,6 +515,21 @@ class TestExactWorkBound:
         with pytest.raises(cli.UsageError, match=f"more than the bound {cli.MAX_EXACT_WORK}"):
             cli._check_exact_work(*refused)
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n"],
+        ["isl", "--fractions", "0", "--n"],
+        ["optimize", "--m", "2", "--exact-check"],
+    ])
+    def test_length_bound_runs_before_primality(self, capsys, argv):
+        # 2^4423 - 1 is a 1332-digit Mersenne prime: Miller-Rabin on it
+        # takes ~3 s, the O(1) length bound refuses it at once
+        start = time.perf_counter()
+        code, lines, err = run(capsys, *argv, str(2**4423 - 1))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert lines == []
+        assert "overflow int64" in err
+
 
 class TestValidate:
     def test_passes_quickly_at_small_max_n(self, capsys):

@@ -339,6 +339,28 @@ class TestIslTotals:
         with pytest.raises(RoundingResidualError, match="sequence 0 .* from an integer"):
             isl_totals(legendre_sequence(31), [0, 3])
 
+    @pytest.mark.parametrize("n, shapes", [(31, [(2, 31)]),  # one gathered block
+                                           (5003, [(1, 5003)] * 2)])  # one-row views
+    def test_offsets_any_integers_taken_mod_n(self, monkeypatch, n, shapes):
+        base = legendre_sequence(n)
+        want = isl_report([np.roll(base, -t) for t in (2**70 % n, 3)])
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(*args, **kw):
+            calls.append(np.shape(args[0]))
+            return rfft(*args, **kw)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        for offsets in ([2**70, 3], [2**70 % n, 3]):
+            calls.clear()
+            got = isl_totals(base, offsets)
+            assert calls == shapes
+            assert got.auto_terms.tolist() == want.auto_terms.tolist()
+            assert got.total == want.total
+        with pytest.raises(ValueError, match="offsets must be integers"):
+            isl_totals(base, [1.5])
+
     def test_errors(self):
         for base in ([1, 0, -1], [[1, 1], [1, -1]], [], [1.0, np.nan]):
             with pytest.raises(ValueError):
@@ -381,6 +403,21 @@ class TestBlockedRoundTrips:
                         for v in [np.correlate(rows[q], rows[p], mode="full")])
         assert got.auto_terms.tolist() == rep.auto_terms.tolist() == auto
         assert got.total == rep.total == sum(auto) + cross
+
+    def test_cross_terms_span_blocks(self):
+        # the engine yields each block in one reused buffer, so a pair whose
+        # rows sit in different blocks, such as (0, 39), (5, 20) or (17, 33),
+        # must still see each row's own lags
+        n, m = self.N, self.M
+        rng = np.random.default_rng(19)
+        base = rng.choice([-1, 1], n)
+        rows = np.array([np.roll(base, -t) for t in rng.integers(-3 * n, 3 * n, size=m)],
+                        dtype=np.float64)
+        rep = isl_report(rows)
+        cross = [[correlate_energy(rows[p], rows[q]) if p != q else 0 for q in range(m)]
+                 for p in range(m)]
+        assert rep.cross_terms.dtype == np.int64
+        assert rep.cross_terms.tolist() == cross
 
     @pytest.mark.parametrize("offset", [0.3, np.nan])
     @pytest.mark.parametrize("call, row", [(0, 5), (1, 3), (2, 7)])

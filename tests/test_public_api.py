@@ -75,3 +75,13 @@ def test_one_caller_per_fft():
     assert callers == {"rfft": {"spectral.power_spectrum"},
                        "irfft": {"correlation._rounded_autocorrelation"},
                        "ifft": {"spectral.gf_at_roots"}}
+
+
+def test_report_is_the_totals_plus_its_pairs():
+    def names(cls):
+        return {field.name for field in dataclasses.fields(cls)}
+
+    assert names(islkit.IslTotals) == {"auto_terms", "total", "normalized", "n", "m"}
+    assert names(islkit.IslReport) == names(islkit.IslTotals) | {"cross_terms"}
+    assert issubclass(islkit.IslReport, islkit.IslTotals)
+    assert set(islkit.IslReport.__annotations__) == {"cross_terms"}
