@@ -7,8 +7,6 @@ and a rotation optimizer, all behind one CLI.
 
 from .asymptotic import (
     AsymptoticIsl,
-    auto_energy_limit,
-    cross_energy_limit,
     isl_limit,
     re_dilog_on_circle,
 )
@@ -16,7 +14,6 @@ from .correlation import (
     IslReport,
     IslTotals,
     aperiodic_correlation,
-    auto_sidelobe_energy,
     cross_energy,
     isl_report,
     isl_totals,
@@ -28,8 +25,6 @@ from .sequences import (
     bind_rotations,
     is_prime,
     legendre_sequence,
-    legendre_symbol,
-    next_prime,
     primes_in_range,
     rotate_left,
 )
@@ -43,7 +38,6 @@ from .spectral import (
     legendre_gf_closed_form,
     pattern_decomposition,
     power_sum_at_negated_roots,
-    power_sum_at_roots,
     roots_of_unity,
 )
 
@@ -57,11 +51,8 @@ __all__ = [
     "PatternSums",
     "RotationSet",
     "aperiodic_correlation",
-    "auto_energy_limit",
-    "auto_sidelobe_energy",
     "bind_rotations",
     "cross_energy",
-    "cross_energy_limit",
     "energy_matrix_spectral",
     "gf_at_negated_roots",
     "gf_at_roots",
@@ -73,13 +64,10 @@ __all__ = [
     "isl_totals",
     "legendre_gf_closed_form",
     "legendre_sequence",
-    "legendre_symbol",
-    "next_prime",
     "optimize_rotations",
     "pattern_decomposition",
     "periodic_autocorrelation",
     "power_sum_at_negated_roots",
-    "power_sum_at_roots",
     "primes_in_range",
     "re_dilog_on_circle",
     "roots_of_unity",

@@ -30,25 +30,11 @@ def re_dilog_on_circle(theta):
 
 
 def _cross(fa, fb):
+    """Limit of (cross-correlation energy) / n^2 for a rotation pair:
+    2/3 + 2 K(fa + fb - 1) + 2 K(fa - fb), symmetric in (fa, fb), minimum
+    2/3.  At (f, f), less the mainlobe 1, it is the auto limit
+    2/3 - 4|f - 1/2| + 8 (f - 1/2)^2, minimum 1/6 at f = 1/4 or 3/4."""
     return 2.0 / 3.0 + 2.0 * _kernel(fa + fb - 1.0) + 2.0 * _kernel(fa - fb)
-
-
-def auto_energy_limit(f: float) -> float:
-    """Limit of (auto sidelobe energy) / n^2 for rotation fraction f.
-
-    2/3 - 4|f - 1/2| + 8 (f - 1/2)^2, the pair limit at (f, f) less the
-    mainlobe 1 (isl_limit of the set {f}); minimum 1/6 at f = 1/4 or 3/4.
-    """
-    return isl_limit([f]).auto_part
-
-
-def cross_energy_limit(fa: float, fb: float) -> float:
-    """Limit of (cross-correlation energy) / n^2 for a rotation pair.
-
-    2/3 + 2 K(fa + fb - 1) + 2 K(fa - fb) with K(y) = (|y| - 1/2)^2,
-    symmetric in (fa, fb); minimum 2/3.
-    """
-    return float(_cross(check_fractions(fa), check_fractions(fb)))
 
 
 @dataclass(frozen=True)
@@ -70,10 +56,14 @@ def isl_limit(fractions) -> AsymptoticIsl:
     fractions has shape (M,) or (..., M).  Cross terms run over ordered
     pairs (p, q), p != q, so each unordered pair contributes twice,
     mirroring the term structure of the exact report.  A single set gives
-    float parts; a batch gives arrays over its leading axes.
+    float parts; a batch gives arrays over its leading axes.  One
+    rotation's limit is the auto part of {f}, one pair's half the cross
+    part of {fa, fb}.
     """
     f = check_fractions(fractions)
-    if f.ndim == 0 or f.shape[-1] == 0:
+    if f.ndim == 0:
+        raise ValueError("expected rotation fractions of shape (M,) or (..., M), got a scalar")
+    if f.shape[-1] == 0:
         raise ValueError("rotation set is empty")
     pair = _cross(f[..., :, None], f[..., None, :])
     pair = np.where(np.eye(f.shape[-1], dtype=bool), 0.0, pair)

@@ -80,13 +80,6 @@ def aperiodic_correlation(a, b) -> np.ndarray:
     return values
 
 
-def auto_sidelobe_energy(a) -> float:
-    """Sum of squared autocorrelations over all nonzero lags."""
-    a = check_antipodal(a)
-    v = aperiodic_correlation(a, a)
-    return float(v @ v - v[len(a) - 1] ** 2)
-
-
 def cross_energy(a, b) -> float:
     """Sum of squared cross-correlations over all lags, lag 0 included."""
     v = aperiodic_correlation(a, b)

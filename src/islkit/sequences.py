@@ -1,4 +1,4 @@
-"""Antipodal sequence construction: primality, Legendre symbols, rotations."""
+"""Antipodal sequence construction: primality, Legendre sequences, rotations."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 64-bit integers."""
+    """Miller-Rabin primality test, deterministic for every n < 3.3e24
+    (the witnesses below); past that a composite could pass."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -36,41 +37,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
-    k = max(n, 2)
-    while not is_prime(k):
-        k += 1
-    return k
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi, ascending."""
-    out = []
-    p = next_prime(lo)
-    while p <= hi:
-        out.append(p)
-        p = next_prime(p + 1)
-    return out
+    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
 def _require_odd_prime(n: int) -> None:
     if n == 2 or not is_prime(n):
         raise ValueError(f"n must be an odd prime, got {n}")
-
-
-def legendre_symbol(j: int, n: int) -> int:
-    """Quadratic character of j mod n (n an odd prime): +1, -1 or 0.
-
-    Euler's criterion: j^((n-1)/2) mod n is 1 for nonzero squares and
-    n-1 for nonsquares.
-    """
-    _require_odd_prime(n)
-    j %= n
-    if j == 0:
-        return 0
-    s = pow(j, (n - 1) // 2, n)
-    return -1 if s == n - 1 else 1
 
 
 def legendre_sequence(n: int) -> np.ndarray:

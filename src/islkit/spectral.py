@@ -140,24 +140,13 @@ def legendre_gf_closed_form(n: int, j, ell_j):
     return values[()]
 
 
-def _power_product_sum(qa: np.ndarray, qb: np.ndarray) -> float:
-    """sum_j |qa_j|^2 |qb_j|^2."""
-    return float(np.sum((qa * qa.conj()).real * (qb * qb.conj()).real))
-
-
-def power_sum_at_roots(a, b) -> float:
-    """S_plus = sum_j |Q_a(eps_j) Q_b*(eps_j)|^2 over the n-th roots of
-    unity, one half of the cross energy sum_k X_ab(k)^2 = (S_plus + S_minus) / 2n."""
-    a, b, _ = _as_pair(a, b)
-    return _power_product_sum(gf_at_roots(a), gf_at_roots(b))
-
-
 def power_sum_at_negated_roots(a, b) -> float:
-    """S_minus = sum_j |Q_a(-eps_j) Q_b*(-eps_j)|^2, the other half of
-    sum_k X_ab(k)^2 = (S_plus + S_minus) / 2n, evaluated directly at the
+    """S_minus = sum_j |Q_a(-eps_j) Q_b*(-eps_j)|^2, the negated-roots half
+    of sum_k X_ab(k)^2 = (S_plus + S_minus) / 2n, evaluated directly at the
     negated roots (the twin of the pattern-sum reconstruction)."""
     a, b, _ = _as_pair(a, b)
-    return _power_product_sum(gf_at_negated_roots(a), gf_at_negated_roots(b))
+    qa, qb = gf_at_negated_roots(a), gf_at_negated_roots(b)
+    return float(np.sum((qa * qa.conj()).real * (qb * qb.conj()).real))
 
 
 def interpolate_negated_root(at_roots, j):

@@ -114,7 +114,7 @@ def test_criterion_06_quarter_rotation_anchor():
     errors = []
     for n in (101, 1009, 10007):
         seq = ik.bind_rotations([0.25], n).sequences()[0]
-        value = ik.auto_sidelobe_energy(seq) / n**2
+        value = (ik.cross_energy(seq, seq) - n**2) / n**2
         errors.append(abs(value - 1 / 6))
     assert errors[-1] <= 0.03 * (1 / 6), errors
     assert errors[0] > errors[1] > errors[2], errors
@@ -126,7 +126,7 @@ def test_criterion_07_cross_convergence():
     pairs = rng.uniform(0, 1, size=(10, 2))
     improved = 0
     for fa, fb in pairs:
-        limit = ik.cross_energy_limit(fa, fb)
+        limit = ik.isl_limit([fa, fb]).cross_part / 2
         errs = {}
         for n in (101, 2003):
             sa, sb = ik.bind_rotations([fa, fb], n).sequences()

@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from islkit.asymptotic import (
-    auto_energy_limit,
-    cross_energy_limit,
-    isl_limit,
-    re_dilog_on_circle,
-)
+from islkit.asymptotic import isl_limit, re_dilog_on_circle
 
 fractions = st.floats(0.0, 1.0)
+
+
+def auto_limit(f):
+    """One rotation's auto limit: the auto part of the set {f}."""
+    return isl_limit([f]).auto_part
+
+
+def pair_limit(fa, fb):
+    """One pair's cross limit: half the cross part of {fa, fb}, whose two
+    ordered terms are equal bit for bit."""
+    return isl_limit([fa, fb]).cross_part / 2
 
 
 class TestReDilog:
@@ -45,43 +51,44 @@ class TestReDilog:
 
 class TestAutoEnergyLimit:
     def test_examples(self):
-        assert auto_energy_limit(0.5) == pytest.approx(2 / 3)
-        assert auto_energy_limit(0.25) == pytest.approx(1 / 6)
-        assert auto_energy_limit(0.0) == pytest.approx(2 / 3)
+        assert auto_limit(0.5) == pytest.approx(2 / 3)
+        assert auto_limit(0.25) == pytest.approx(1 / 6)
+        assert auto_limit(0.0) == pytest.approx(2 / 3)
 
     def test_minimum_at_quarter_rotations(self):
         grid = np.linspace(0, 1, 4001)
-        vals = np.array([auto_energy_limit(f) for f in grid])
+        vals = isl_limit(grid[:, None]).auto_part  # 4001 one-rotation sets
         assert vals.min() == pytest.approx(1 / 6)
         mins = grid[vals <= vals.min() + 1e-12]
         assert set(np.round(mins, 6)) == {0.25, 0.75}
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            auto_energy_limit(1.5)
+            auto_limit(1.5)
         with pytest.raises(ValueError):
-            auto_energy_limit(-0.01)
+            auto_limit(-0.01)
         with pytest.raises(ValueError):
-            auto_energy_limit(float("nan"))
+            auto_limit(float("nan"))
 
 
 class TestCrossEnergyLimit:
     def test_examples(self):
-        assert cross_energy_limit(0.0, 0.5) == pytest.approx(2 / 3)
-        assert cross_energy_limit(0.0, 0.0) == pytest.approx(5 / 3)
-        assert cross_energy_limit(0.5, 0.5) == pytest.approx(5 / 3)
+        assert pair_limit(0.0, 0.5) == pytest.approx(2 / 3)
+        assert pair_limit(0.0, 0.0) == pytest.approx(5 / 3)
+        assert pair_limit(0.5, 0.5) == pytest.approx(5 / 3)
 
     @given(fractions, fractions)
     def test_symmetric(self, fa, fb):
-        assert cross_energy_limit(fa, fb) == cross_energy_limit(fb, fa)
+        assert pair_limit(fa, fb) == pair_limit(fb, fa)
 
     @given(fractions, fractions)
     def test_lower_bound(self, fa, fb):
-        assert cross_energy_limit(fa, fb) >= 2 / 3 - 1e-12
+        assert pair_limit(fa, fb) >= 2 / 3 - 1e-12
 
     def test_minimum_value(self):
         grid = np.linspace(0, 1, 201)
-        best = min(cross_energy_limit(a, b) for a in grid for b in grid)
+        pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)  # (201, 201, 2)
+        best = (isl_limit(pairs).cross_part / 2).min()
         assert best == pytest.approx(2 / 3)
 
 
@@ -135,12 +142,12 @@ class TestIslLimit:
     @settings(max_examples=100)
     def test_matches_term_loop(self, fr):
         # the term-by-term sum, in the order of the exact report
-        auto = sum(auto_energy_limit(f) for f in fr)
+        auto = sum(auto_limit(f) for f in fr)
         cross = 0.0
         for p, fp in enumerate(fr):
             for q, fq in enumerate(fr):
                 if p != q:
-                    cross += cross_energy_limit(fp, fq)
+                    cross += pair_limit(fp, fq)
         lim = isl_limit(fr)
         assert (lim.auto_part, lim.cross_part) == (auto, cross)
 
@@ -158,6 +165,16 @@ class TestIslLimit:
             head = m * m - m + 4 / np.pi**2 * np.sum(c * c / (k * k))
             tail = 4 * m * m / (np.pi**2 * big_k)
             assert head - 1e-9 <= isl_limit(f).total <= head + tail + 1e-9, f
+
+    def test_scalar_is_not_a_set(self):
+        for f in (0.25, np.float64(0.5), np.array(0.75)):
+            with pytest.raises(ValueError, match="got a scalar"):
+                isl_limit(f)
+
+    def test_empty_set(self):
+        for shape in ((0,), (3, 0), (2, 4, 0)):
+            with pytest.raises(ValueError, match="rotation set is empty"):
+                isl_limit(np.zeros(shape))
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from islkit.correlation import (
     _smooth_length,
     _sum_of_squares,
     aperiodic_correlation,
-    auto_sidelobe_energy,
     cross_energy,
     isl_report,
     isl_totals,
@@ -81,15 +80,17 @@ class TestAperiodicCorrelation:
 
 
 class TestEnergies:
+    # a sequence's auto sidelobe energy is its self cross energy less
+    # the n^2 mainlobe
     def test_auto_examples(self):
-        assert auto_sidelobe_energy([1, 1, -1]) == 2.0
-        assert auto_sidelobe_energy([1]) == 0.0
+        assert cross_energy([1, 1, -1], [1, 1, -1]) - 3**2 == 2.0
+        assert cross_energy([1], [1]) - 1**2 == 0.0
 
     def test_auto_legendre7_against_loop(self):
         seq = legendre_sequence(7)
         prof = xcorr_loop(seq, seq)
         expected = float(prof @ prof - 49.0)
-        assert auto_sidelobe_energy(seq) == expected
+        assert cross_energy(seq, seq) - 7**2 == expected
 
     def test_cross_example(self):
         assert cross_energy([1, 1, -1], [1, -1, 1]) == 7.0
@@ -98,7 +99,9 @@ class TestEnergies:
         rng = np.random.default_rng(4)
         for n in (3, 7, 12):
             a = rng.choice([-1, 1], n)
-            assert cross_energy(a, a) == auto_sidelobe_energy(a) + n**2
+            prof = xcorr_loop(a, a)
+            assert prof[n - 1] == n
+            assert cross_energy(a, a) == float(prof @ prof - prof[n - 1] ** 2) + n**2
 
     def test_cross_symmetric(self):
         rng = np.random.default_rng(5)

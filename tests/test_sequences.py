@@ -11,8 +11,6 @@ from islkit.sequences import (
     check_antipodal,
     is_prime,
     legendre_sequence,
-    legendre_symbol,
-    next_prime,
     primes_in_range,
     rotate_left,
     round_half_up,
@@ -58,28 +56,30 @@ class TestIsPrime:
         assert not is_prime((2**31 - 1) * (2**31 + 11))
 
     def test_prime_iteration(self):
-        assert next_prime(8) == 11
+        assert primes_in_range(8, 11) == [11]
         assert primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
         assert primes_in_range(24, 28) == []
 
 
 class TestLegendreSymbol:
+    # the symbol as legendre_sequence realizes it: element j (j != 0 mod n)
     def test_examples(self):
         assert euler_criterion(2, 7) == 1
-        assert legendre_symbol(2, 7) == 1
+        assert legendre_sequence(7)[2] == 1
         assert pow(3, 3, 7) == 7 - 1  # 27 = -1 mod 7
-        assert legendre_symbol(3, 7) == -1
-        assert legendre_symbol(7, 7) == 0
+        assert legendre_sequence(7)[3] == -1
 
     @pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 17, 19, 23])
     def test_matches_euler_criterion(self, n):
+        seq = legendre_sequence(n)
         for j in range(-n, 2 * n):
-            assert legendre_symbol(j, n) == euler_criterion(j, n)
+            if j % n:
+                assert seq[j % n] == euler_criterion(j, n)
 
     @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15, 21, 100])
     def test_rejects_nonprime_or_even(self, bad):
         with pytest.raises(ValueError):
-            legendre_symbol(3, bad)
+            legendre_sequence(bad)
 
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     @settings(max_examples=200)
@@ -87,7 +87,8 @@ class TestLegendreSymbol:
         n = 101
         if a % n == 0 or b % n == 0:
             return
-        assert legendre_symbol(a * b, n) == legendre_symbol(a, n) * legendre_symbol(b, n)
+        seq = legendre_sequence(n)
+        assert seq[a * b % n] == seq[a % n] * seq[b % n]
 
 
 class TestLegendreSequence:
@@ -117,7 +118,7 @@ class TestLegendreSequence:
     def test_agrees_with_symbol(self):
         for n in primes_in_range(3, 199):
             seq = legendre_sequence(n)
-            assert all(seq[j] == legendre_symbol(j, n) for j in range(1, n))
+            assert all(seq[j] == euler_criterion(j, n) for j in range(1, n))
 
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):

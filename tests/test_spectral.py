@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from islkit.correlation import auto_sidelobe_energy, cross_energy
+from islkit.correlation import cross_energy
 from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 from islkit.spectral import (
     _inverse_differences,
@@ -18,9 +18,14 @@ from islkit.spectral import (
     legendre_gf_closed_form,
     pattern_decomposition,
     power_sum_at_negated_roots,
-    power_sum_at_roots,
     roots_of_unity,
 )
+
+
+def s_plus(a, b):
+    """S_plus = sum_j |Q_a(eps_j)|^2 |Q_b(eps_j)|^2 over the n-th roots of unity."""
+    qa, qb = gf_at_roots(a), gf_at_roots(b)
+    return float(np.sum(np.abs(qa) ** 2 * np.abs(qb) ** 2))
 
 
 def xcorr_loop(a, b):
@@ -166,7 +171,7 @@ class TestPowerSums:
             wrap_pos = sum(x[k] * x[k - n] for k in range(1, n))
             wrap_neg = sum(x[k] * x[k + n] for k in range(-n + 1, 0))
             expected = n * (squares + wrap_pos + wrap_neg)
-            assert power_sum_at_roots(a, b) == pytest.approx(expected, rel=1e-12)
+            assert s_plus(a, b) == pytest.approx(expected, rel=1e-12)
             expected_neg = n * (squares - wrap_pos - wrap_neg)
             assert power_sum_at_negated_roots(a, b) == pytest.approx(expected_neg, rel=1e-12)
 
@@ -189,11 +194,11 @@ class TestPowerSums:
     def test_rotation_invariance_for_legendre_pairs(self):
         n = 19
         ell = legendre_sequence(n)
-        base = power_sum_at_roots(ell, ell)
+        base = s_plus(ell, ell)
         rng = np.random.default_rng(5)
         for _ in range(5):
             ta, tb = rng.integers(0, n, 2)
-            val = power_sum_at_roots(rotate_left(ell, ta), rotate_left(ell, tb))
+            val = s_plus(rotate_left(ell, ta), rotate_left(ell, tb))
             assert val == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("n", primes_in_range(3, 61))
@@ -203,17 +208,17 @@ class TestPowerSums:
         ell = legendre_sequence(n)
         base = 1 + (n - 1) * (n + 1) ** 2
         expected = base if n % 4 == 3 else base + 4 * n * (n - 1)
-        assert power_sum_at_roots(ell, ell) == pytest.approx(expected, rel=1e-12)
+        assert s_plus(ell, ell) == pytest.approx(expected, rel=1e-12)
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
-            power_sum_at_roots([1, -1], [1, 1])
+            pattern_decomposition([1, -1], [1, 1])
         with pytest.raises(ValueError):
             power_sum_at_negated_roots([1, -1], [1, 1])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            power_sum_at_roots([1, 1, -1], [1, 1])
+            power_sum_at_negated_roots([1, 1, -1], [1, 1])
 
 
 class TestInterpolateNegatedRoot:
@@ -279,7 +284,7 @@ class TestCrossEnergySpectral:
     def test_self_pair_includes_mainlobe(self):
         rng = np.random.default_rng(9)
         a = rng.choice([-1, 1], 11)
-        expected = auto_sidelobe_energy(a) + 121
+        expected = cross_energy(a, a)  # the auto sidelobe energy plus the 11^2 mainlobe
         assert energy_matrix_spectral([a, a])[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_splits_into_root_and_negated_root_sums(self):
@@ -288,7 +293,7 @@ class TestCrossEnergySpectral:
         for n in (3, 9, 101):
             a = rng.choice([-1, 1], n)
             b = rng.choice([-1, 1], n)
-            halves = (power_sum_at_roots(a, b) + power_sum_at_negated_roots(a, b)) / (2 * n)
+            halves = (s_plus(a, b) + power_sum_at_negated_roots(a, b)) / (2 * n)
             assert energy_matrix_spectral([a, b])[0, 1] == pytest.approx(halves, rel=1e-12)
 
     def test_large_n_matches_direct(self):
@@ -327,7 +332,7 @@ class TestAutoSidelobeEnergySpectral:
         for n in primes_in_range(3, 199):
             t = int(rng.integers(0, n))
             seq = rotate_left(legendre_sequence(n), t)
-            direct = auto_sidelobe_energy(seq)
+            direct = cross_energy(seq, seq) - n**2
             spectral = energy_matrix_spectral([seq])[0, 0] - n**2
             assert abs(spectral - direct) <= 1e-9 * max(direct, 1.0)
 
@@ -337,7 +342,7 @@ class TestAutoSidelobeEnergySpectral:
         n = 1009
         seq = rotate_left(legendre_sequence(n), 252)  # 252 = round(n / 4)
         spectral = energy_matrix_spectral([seq])[0, 0] - n**2
-        direct = auto_sidelobe_energy(seq)
+        direct = cross_energy(seq, seq) - n**2
         assert abs(spectral - direct) <= 1e-9 * direct
         assert abs(spectral / n**2 - 1 / 6) <= 0.03 * (1 / 6)
 
@@ -437,7 +442,7 @@ class TestPatternDecomposition:
         parts = pattern_decomposition(a, b)
         prefactor = (n**4 / 3 + 2 * n**2 / 3) / 16
         assert parts.all_equal == pytest.approx(
-            prefactor * power_sum_at_roots(ell, ell), rel=1e-12
+            prefactor * s_plus(ell, ell), rel=1e-12
         )
 
     def test_no_size_gate(self):
