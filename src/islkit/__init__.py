@@ -31,7 +31,6 @@ from .sequences import (
 from .spectral import (
     PatternSums,
     energy_matrix_spectral,
-    gf_at_negated_roots,
     gf_at_roots,
     gf_eval,
     interpolate_negated_root,
@@ -54,7 +53,6 @@ __all__ = [
     "bind_rotations",
     "cross_energy",
     "energy_matrix_spectral",
-    "gf_at_negated_roots",
     "gf_at_roots",
     "gf_eval",
     "interpolate_negated_root",

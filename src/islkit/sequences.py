@@ -112,6 +112,8 @@ def bind_rotations(fractions, n: int) -> RotationSet:
     """Resolve rotation fractions in [0, 1] to integer offsets for a
     given odd prime n."""
     _require_odd_prime(n)
-    fr = check_fractions(fractions).tolist()
-    offsets = tuple(round_half_up(f * n) % n for f in fr)
+    fr = check_fractions(fractions)
+    if fr.ndim != 1:
+        raise ValueError(f"expected rotation fractions of shape (M,), got shape {fr.shape}")
+    offsets = tuple(round_half_up(f * n) % n for f in fr.tolist())
     return RotationSet(offsets=offsets, n=n)

@@ -9,10 +9,12 @@ the sums over the n-th roots of unity (resp. their negatives) of
 wrapping.  So a set's energies are one Gram matrix of power spectra
 (`power_spectrum`, shared with the exact path) at the same 2*3*5-smooth
 length L >= 2n - 1 the exact path uses, where numpy's FFT needs no
-generic radix-n pass for a prime n.  S_minus additionally admits a
-closed-form expansion through partial-fraction kernel sums over
-quadruples of root indices, which collapses to O(n^2) sums; every
-closed form has a direct twin.
+generic radix-n pass for a prime n.  Lagrange interpolation from the
+n-th roots to their negatives is one circulant convolution, taken
+through gf_at_roots.  S_minus additionally admits a closed-form
+expansion through partial-fraction kernel sums over quadruples of root
+indices, which collapses to O(n^2) sums; every closed form has a
+direct twin.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .sequences import _require_odd_prime
 
@@ -84,10 +85,10 @@ def gf_at_roots(seq) -> np.ndarray:
     """Generating-function values at all n-th roots of unity (last axis).
 
     Q(eps_j) = sum_k a_k exp(2 pi i j k / n) is n times the inverse DFT
-    of the sequence, taken with numpy.fft in O(n log n).
+    of the sequence (real or complex), taken with numpy.fft in O(n log n).
     """
-    a = np.asarray(seq, dtype=np.float64)
-    return a.shape[-1] * np.fft.ifft(a)
+    a = np.asarray(seq)
+    return a.shape[-1] * np.fft.ifft(a.astype(np.result_type(a, np.float64), copy=False))
 
 
 def _smooth_length(k: int) -> int:
@@ -117,15 +118,6 @@ def power_spectrum(rows, length: int) -> np.ndarray:
     return spec
 
 
-def gf_at_negated_roots(seq) -> np.ndarray:
-    """Generating-function values at -eps_j, j = 0..n-1, the points S_minus
-    sums over: Q(-eps_j) = sum_k (-1)^k a_k eps_j^k, so gf_at_roots of the
-    sequence with its odd-indexed terms negated."""
-    a = np.array(seq, dtype=np.float64)
-    a[..., 1::2] *= -1.0
-    return gf_at_roots(a)
-
-
 def legendre_gf_closed_form(n: int, j, ell_j):
     """Closed-form generating-function value of the Legendre sequence at
     the j-th root of unity (quadratic Gauss sum plus the fixed 0th term),
@@ -142,38 +134,31 @@ def legendre_gf_closed_form(n: int, j, ell_j):
 
 def power_sum_at_negated_roots(a, b) -> float:
     """S_minus = sum_j |Q_a(-eps_j) Q_b*(-eps_j)|^2, the negated-roots half
-    of sum_k X_ab(k)^2 = (S_plus + S_minus) / 2n, evaluated directly at the
-    negated roots (the twin of the pattern-sum reconstruction)."""
-    a, b, _ = _as_pair(a, b)
-    qa, qb = gf_at_negated_roots(a), gf_at_negated_roots(b)
+    of sum_k X_ab(k)^2 = (S_plus + S_minus) / 2n, evaluated directly (the
+    twin of the pattern-sum reconstruction): Q(-eps_j) = sum_k (-1)^k a_k
+    eps_j^k is gf_at_roots of the sequence, odd-indexed terms negated."""
+    a, b, n = _as_pair(a, b)
+    signs = (-1.0) ** np.arange(n)
+    qa, qb = gf_at_roots(signs * a), gf_at_roots(signs * b)
     return float(np.sum((qa * qa.conj()).real * (qb * qb.conj()).real))
 
 
 def interpolate_negated_root(at_roots, j):
-    """Reconstruct the polynomial value at -eps_j from its values at the
-    n-th roots of unity (n odd), for a scalar j or elementwise over an
-    array of j, the weighted rows summed by _row_sums.
+    """The polynomial's value at -eps_j from its values Q at the n-th roots
+    of unity (n odd), for a scalar j or elementwise over an array of j.
 
     Lagrange interpolation on the roots of unity collapses to the weights
-    (2/n) eps_k / (eps_j + eps_k) = (2/n) / (1 + eps_((j - k) mod n)), so
-    every row of weights is read from one length-n table.
+    (2/n) eps_k / (eps_j + eps_k) = (2/n) / (1 + eps_((j - k) mod n)), a
+    circulant: with t = 1 / (1 + eps), all n values are the cyclic
+    convolution (2/n) (t * Q).  gf_at_roots turns it into a product, and
+    the conjugated transform of the conjugate, over n, inverts it.
     """
     at_roots = np.asarray(at_roots)
     n = len(at_roots)
     _require_odd(n)
-    table = 1.0 / (1.0 + roots_of_unity(n))
-    # row j is table[(j - k) mod n] for k = 0..n-1: the window of
-    # `unrolled` (unrolled[d] = table[(n - 1 - d) mod n]) that starts at n - 1 - j
-    unrolled = table[(n - 1 - np.arange(2 * n - 1)) % n]
-    j = np.asarray(j)
-    starts = n - 1 - j.reshape(-1) % n
-    windows = sliding_window_view(unrolled, n)
-
-    def terms(rows):
-        weights = windows[starts[rows]]
-        weights *= at_roots
-        return weights
-    return (2.0 / n) * _row_sums(terms, len(starts), n, np.complex128).reshape(j.shape)[()]
+    product = gf_at_roots(1.0 / (1.0 + roots_of_unity(n))) * gf_at_roots(at_roots)
+    values = (2.0 / n**2) * np.conj(gf_at_roots(np.conj(product)))
+    return values[np.asarray(j) % n]
 
 
 def energy_matrix_spectral(rows) -> np.ndarray:
@@ -184,6 +169,8 @@ def energy_matrix_spectral(rows) -> np.ndarray:
     each stand for a conjugate pair, so they carry the weight sqrt(2).
     The diagonal minus n^2 (the lag-0 mainlobe) is each row's auto
     sidelobe energy."""
+    if np.ndim(rows) != 2:
+        raise ValueError(f"expected an (M, n) array of sequences, got shape {np.shape(rows)}")
     n = np.shape(rows)[-1]
     _require_odd(n)
     length = _smooth_length(2 * n - 1)

@@ -11,11 +11,11 @@ import islkit.optimize
 PUBLIC = {
     "AsymptoticIsl", "IslReport", "IslTotals", "OptResult", "PatternSums", "RotationSet",
     "aperiodic_correlation", "bind_rotations", "cross_energy", "energy_matrix_spectral",
-    "gf_at_negated_roots", "gf_at_roots", "gf_eval", "interpolate_negated_root",
-    "is_prime", "isl_limit", "isl_report", "isl_totals", "legendre_gf_closed_form",
-    "legendre_sequence", "optimize_rotations", "pattern_decomposition",
-    "periodic_autocorrelation", "power_sum_at_negated_roots", "primes_in_range",
-    "re_dilog_on_circle", "roots_of_unity", "rotate_left",
+    "gf_at_roots", "gf_eval", "interpolate_negated_root", "is_prime", "isl_limit",
+    "isl_report", "isl_totals", "legendre_gf_closed_form", "legendre_sequence",
+    "optimize_rotations", "pattern_decomposition", "periodic_autocorrelation",
+    "power_sum_at_negated_roots", "primes_in_range", "re_dilog_on_circle",
+    "roots_of_unity", "rotate_left",
 }
 
 
@@ -25,6 +25,7 @@ def test_all_is_sorted_and_resolves():
     for name in islkit.__all__:
         assert hasattr(islkit, name), name
     assert set(islkit.__all__) == PUBLIC
+    assert len(PUBLIC) == 27
 
 
 def test_wrappers_of_the_energy_matrix_are_gone():
@@ -35,7 +36,8 @@ def test_wrappers_of_the_energy_matrix_are_gone():
         "islkit.optimize": ("exact_validate", "ExactCheck"),
         "islkit.sequences": ("legendre_symbol", "next_prime"),
         "islkit.spectral": ("cross_energy_spectral", "auto_sidelobe_energy_spectral",
-                            "power_sum_at_roots", "_power_product_sum"),
+                            "power_sum_at_roots", "_power_product_sum",
+                            "gf_at_negated_roots"),
     }
     for module, names in gone.items():
         for name in names:

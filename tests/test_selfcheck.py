@@ -118,7 +118,7 @@ class TestRunValidation:
         for n in primes_in_range(3, 61):
             base = legendre_sequence(n)
             rows = np.array([rotate_left(base, t) for t in range(n)])
-            power = np.abs(spectral.gf_at_negated_roots(rows)) ** 2
+            power = np.abs(spectral.gf_at_roots(rows * (-1) ** np.arange(n))) ** 2
             assert (power @ power.T).min() >= n**3 / 4, n
         n, q, d = 61, 1 + np.sqrt(61), selfcheck._fft_value_error(61)
         lam = 2 / n * np.sum(1 / np.abs(1 + spectral.roots_of_unity(n)))

@@ -209,6 +209,11 @@ class TestBindRotations:
         with pytest.raises(ValueError):
             bind_rotations([0.5], 10)
 
+    def test_rejects_fractions_not_one_dimensional(self):
+        for fractions, shape in ((0.25, r"\(\)"), ([[0.25, 0.5]], r"\(1, 2\)")):
+            with pytest.raises(ValueError, match=r"shape \(M,\), got shape " + shape):
+                bind_rotations(fractions, 7)
+
     def test_sequences_realization(self):
         rs = bind_rotations([0.0, 2 / 7], 7)
         a, b = rs.sequences()

@@ -9,7 +9,6 @@ from islkit.spectral import (
     _inverse_differences,
     _one_pair_triple_sum,
     energy_matrix_spectral,
-    gf_at_negated_roots,
     gf_at_roots,
     gf_eval,
     interpolate_negated_root,
@@ -87,15 +86,22 @@ class TestGfAtRoots:
             assert vals[j] == pytest.approx(gf_eval(seq, eps[j]), abs=1e-8)
 
     def test_negated_roots(self):
-        # bin (2j + n) mod 2n of the length-2n transform holds -eps_j: the
-        # odd bins, but not in ascending order
+        # Q(-eps_j) is the transform of the sequence, odd-indexed terms negated
         rng = np.random.default_rng(3)
         for n in (9, 601):
             seq = rng.choice([-1, 1], n)
-            vals = gf_at_negated_roots(seq)
+            vals = gf_at_roots(seq * (-1) ** np.arange(n))
             eps = roots_of_unity(n)
             for j in range(n):
                 assert vals[j] == pytest.approx(gf_eval(seq, -eps[j]), abs=1e-10)
+
+    def test_complex_sequence(self):
+        # the imaginary parts are kept, not cast away
+        rng = np.random.default_rng(4)
+        for seq in ([1 + 2j, 0, 1j], rng.normal(size=9) + 1j * rng.normal(size=9)):
+            vals = gf_at_roots(seq)
+            eps = roots_of_unity(len(seq))
+            assert np.allclose(vals, gf_eval(seq, eps), rtol=0, atol=1e-12)
 
     @given(st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
@@ -320,6 +326,11 @@ class TestEnergyMatrixSpectral:
     def test_even_length_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             energy_matrix_spectral(np.ones((2, 4)))
+
+    def test_rows_must_be_two_dimensional(self):
+        for rows in ([1, 1, -1], np.ones((1, 2, 3))):
+            with pytest.raises(ValueError, match=r"expected an \(M, n\) array"):
+                energy_matrix_spectral(rows)
 
 
 class TestAutoSidelobeEnergySpectral:
