@@ -11,10 +11,10 @@ wrapping.  So a set's energies are one Gram matrix of power spectra
 length L >= 2n - 1 the exact path uses, where numpy's FFT needs no
 generic radix-n pass for a prime n.  Lagrange interpolation from the
 n-th roots to their negatives is one circulant convolution, taken
-through gf_at_roots.  S_minus additionally admits a closed-form
-expansion through partial-fraction kernel sums over quadruples of root
-indices, which collapses to O(n^2) sums; every closed form has a
-direct twin.
+through gf_at_roots as a sign flip of the odd-indexed coefficients.
+S_minus additionally admits a closed-form expansion through
+partial-fraction kernel sums over quadruples of root indices, which
+collapses to O(n^2) sums; every closed form has a direct twin.
 """
 
 from __future__ import annotations
@@ -149,15 +149,15 @@ def interpolate_negated_root(at_roots, j):
 
     Lagrange interpolation on the roots of unity collapses to the weights
     (2/n) eps_k / (eps_j + eps_k) = (2/n) / (1 + eps_((j - k) mod n)), a
-    circulant: with t = 1 / (1 + eps), all n values are the cyclic
-    convolution (2/n) (t * Q).  gf_at_roots turns it into a product, and
-    the conjugated transform of the conjugate, over n, inverts it.
+    circulant: all n values are the cyclic convolution (2/n) (t * Q).  For
+    odd n, t = 1/(1 + eps) = gf_at_roots((-1)^k) / 2, so that negates the
+    odd-indexed coefficients of Q, which the inverse transform recovers.
     """
     at_roots = np.asarray(at_roots)
     n = len(at_roots)
     _require_odd(n)
-    product = gf_at_roots(1.0 / (1.0 + roots_of_unity(n))) * gf_at_roots(at_roots)
-    values = (2.0 / n**2) * np.conj(gf_at_roots(np.conj(product)))
+    coeffs = np.conj(gf_at_roots(np.conj(at_roots))) / n
+    values = gf_at_roots((-1.0) ** np.arange(n) * coeffs)
     return values[np.asarray(j) % n]
 
 
