@@ -3,71 +3,41 @@
 Direct (oracle) correlation sums, the root-of-unity spectral route with
 closed-form kernel sums, asymptotic limits in the rotation fractions,
 and a rotation optimizer, all behind one CLI.
+
+`import islkit` loads no submodule: each public name loads its
+submodule, and numpy with it, on first use (PEP 562).
 """
 
-from .asymptotic import (
-    AsymptoticIsl,
-    isl_limit,
-    re_dilog_on_circle,
-)
-from .correlation import (
-    IslReport,
-    IslTotals,
-    aperiodic_correlation,
-    cross_energy,
-    isl_report,
-    isl_totals,
-    periodic_autocorrelation,
-)
-from .optimize import OptResult, optimize_rotations
-from .sequences import (
-    RotationSet,
-    bind_rotations,
-    is_prime,
-    legendre_sequence,
-    primes_in_range,
-    rotate_left,
-)
-from .spectral import (
-    PatternSums,
-    energy_matrix_spectral,
-    gf_at_roots,
-    gf_eval,
-    interpolate_negated_root,
-    legendre_gf_closed_form,
-    pattern_decomposition,
-    power_sum_at_negated_roots,
-    roots_of_unity,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticIsl",
-    "IslReport",
-    "IslTotals",
-    "OptResult",
-    "PatternSums",
-    "RotationSet",
-    "aperiodic_correlation",
-    "bind_rotations",
-    "cross_energy",
-    "energy_matrix_spectral",
-    "gf_at_roots",
-    "gf_eval",
-    "interpolate_negated_root",
-    "is_prime",
-    "isl_limit",
-    "isl_report",
-    "isl_totals",
-    "legendre_gf_closed_form",
-    "legendre_sequence",
-    "optimize_rotations",
-    "pattern_decomposition",
-    "periodic_autocorrelation",
-    "power_sum_at_negated_roots",
-    "primes_in_range",
-    "re_dilog_on_circle",
-    "roots_of_unity",
-    "rotate_left",
-]
+# every public name, under the submodule that defines it
+_EXPORTS = {
+    "asymptotic": ("AsymptoticIsl", "isl_limit", "re_dilog_on_circle"),
+    "correlation": ("IslReport", "IslTotals", "aperiodic_correlation", "cross_energy",
+                    "isl_report", "isl_totals", "periodic_autocorrelation"),
+    "optimize": ("OptResult", "optimize_rotations"),
+    "sequences": ("RotationSet", "bind_rotations", "is_prime", "legendre_sequence",
+                  "primes_in_range", "rotate_left"),
+    "spectral": ("PatternSums", "energy_matrix_spectral", "gf_at_roots", "gf_eval",
+                 "interpolate_negated_root", "legendre_gf_closed_form",
+                 "pattern_decomposition", "power_sum_at_negated_roots", "roots_of_unity"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

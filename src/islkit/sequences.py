@@ -65,6 +65,8 @@ def legendre_sequence(n: int) -> np.ndarray:
 def rotate_left(seq: np.ndarray, t: int) -> np.ndarray:
     """Cyclic left rotation: out[j] = seq[(j + t) mod n]. Negative t allowed."""
     seq = np.asarray(seq)
+    if len(seq) == 0:
+        raise ValueError("sequence must be nonempty")
     return np.roll(seq, -(t % len(seq)))
 
 
@@ -84,10 +86,19 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float64 array, refused unless its dtype is real: the cast
+    alone would keep the real part of a complex array."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def check_fractions(fractions) -> np.ndarray:
     """Rotation fractions as a float64 array, each checked to lie in
     [0, 1]; NaN is rejected.  f = 1 is a full turn and binds to offset 0."""
-    f = np.asarray(fractions, dtype=np.float64)
+    f = _real_array(fractions, "rotation fractions")
     bad = ~((f >= 0.0) & (f <= 1.0))  # also true for NaN
     if bad.any():
         raise ValueError(f"rotation fraction must lie in [0, 1], got {f[bad][0]}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _require_odd_prime
+from .sequences import _real_array, _require_odd_prime
 
 
 def roots_of_unity(n: int) -> np.ndarray:
@@ -39,8 +39,7 @@ def _require_odd(n: int) -> None:
 
 
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _real_array(a, "sequence"), _real_array(b, "sequence")
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     _require_odd(len(a))

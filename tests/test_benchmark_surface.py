@@ -64,3 +64,14 @@ def test_ops_run_as_a_module():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 1
+
+
+def test_checkout_probe_finds_the_sources():
+    # perfbench/run.py refuses to run unless this probe, with src on
+    # PYTHONPATH, prints the package file under src
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", "import islkit; print(islkit.__file__)"],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=src.parent, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(src / "islkit" / "__init__.py")

@@ -2,6 +2,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import islkit
 import islkit.optimize
@@ -26,6 +32,61 @@ def test_all_is_sorted_and_resolves():
         assert hasattr(islkit, name), name
     assert set(islkit.__all__) == PUBLIC
     assert len(PUBLIC) == 27
+
+
+COMPUTE_MODULES = ("asymptotic", "correlation", "optimize", "sequences", "spectral")
+
+
+def fresh(code: str):
+    """What `code` prints as JSON on its last line, run in a fresh interpreter,
+    so that no module imported by the tests can hide an eager import."""
+    src = os.path.dirname(os.path.dirname(islkit.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "import json, sys; print(json.dumps(sorted(set(sys.modules) & {names!r})))"
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    watched = {"numpy", *(f"islkit.{m}" for m in COMPUTE_MODULES)}
+    assert fresh("import islkit; " + LOADED.format(names=watched)) == []
+
+
+def test_optimizer_loads_without_numpy():
+    assert fresh("from islkit import optimize_rotations; "
+                 + LOADED.format(names={"numpy"})) == []
+
+
+def test_star_import_binds_exactly_all():
+    bound = fresh("before = set(globals()) | {'before'}\n"
+                  "from islkit import *\n"
+                  "import json; print(json.dumps(sorted(set(globals()) - before - {'json'})))")
+    assert bound == islkit.__all__
+
+
+def test_submodule_resolves_after_bare_import():
+    assert fresh("import islkit, json; print(json.dumps(islkit.spectral.__name__))") \
+        == "islkit.spectral"
+
+
+def test_names_are_their_defining_modules_objects():
+    for name in islkit.__all__:
+        value = getattr(islkit, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+        assert value.__module__.removeprefix("islkit.") in COMPUTE_MODULES, name
+
+
+def test_dir_lists_every_export():
+    assert set(islkit.__all__) <= set(dir(islkit))
+    assert set(COMPUTE_MODULES) <= set(dir(islkit))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'islkit' has no attribute 'no_such_name'"):
+        islkit.no_such_name
 
 
 def test_wrappers_of_the_energy_matrix_are_gone():

@@ -150,6 +150,10 @@ class TestRotate:
             out = rotate_left(s, t)
             assert all(out[j] == s[(j + t) % 11] for j in range(11))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="sequence must be nonempty"):
+            rotate_left(np.array([], dtype=np.int64), 1)
+
 
 class TestCheckAntipodal:
     @pytest.mark.parametrize("seq", [
@@ -208,6 +212,16 @@ class TestBindRotations:
     def test_rejects_nonprime_length(self):
         with pytest.raises(ValueError):
             bind_rotations([0.5], 10)
+
+    @pytest.mark.parametrize("fractions", [np.array([0.1 + 0.5j]), [0.1 + 0.5j]])
+    def test_rejects_complex_fractions_without_a_warning(self, fractions):
+        # a float64 cast would bind the real part of an array (offset 1 at
+        # n = 7) and raise TypeError on a list
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: bind_rotations(fractions, 7), lambda: isl_limit(fractions)):
+                with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+                    call()
 
     def test_rejects_fractions_not_one_dimensional(self):
         for fractions, shape in ((0.25, r"\(\)"), ([[0.25, 0.5]], r"\(1, 2\)")):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,17 @@ class TestPowerSums:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             power_sum_at_negated_roots([1, 1, -1], [1, 1])
+
+    @pytest.mark.parametrize("function", [power_sum_at_negated_roots, pattern_decomposition])
+    @pytest.mark.parametrize("complex_seq", [np.array([1 + 1j, 0, 0]), [1 + 1j, 0, 0]])
+    def test_complex_input_rejected_without_a_warning(self, function, complex_seq):
+        # a float64 cast would keep only the real part of an array and
+        # raise TypeError on a list
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((complex_seq, [1, 0, 0]), ([1, 0, 0], complex_seq)):
+                with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+                    function(a, b)
 
 
 class TestInterpolateNegatedRoot:
