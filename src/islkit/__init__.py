@@ -24,19 +24,19 @@ _EXPORTS = {
                  "interpolate_negated_root", "legendre_gf_closed_form",
                  "pattern_decomposition", "power_sum_at_negated_roots", "roots_of_unity"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name):
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value  # later lookups skip this function
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

@@ -87,12 +87,12 @@ def round_half_up(x: float) -> int:
 
 
 def _real_array(x, what: str) -> np.ndarray:
-    """x as a float64 array, refused unless its dtype is real: the cast
+    """x as a float64 array, refused if its dtype is complex: the cast
     alone would keep the real part of a complex array."""
     arr = np.asarray(x)
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got dtype {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
+    return np.asarray(arr, dtype=np.float64)
 
 
 def check_fractions(fractions) -> np.ndarray:

@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,6 +224,12 @@ class TestBindRotations:
             for call in (lambda: bind_rotations(fractions, 7), lambda: isl_limit(fractions)):
                 with pytest.raises(ValueError, match="must be real, got dtype complex128"):
                     call()
+
+    def test_exact_fractions_bind_as_their_floats(self):
+        # object arrays of real numbers still cast; only complex is refused
+        exact = [Fraction(1, 4), Fraction(3, 5), Decimal("0.9")]
+        assert bind_rotations(exact, 7) == bind_rotations([0.25, 0.6, 0.9], 7)
+        assert isl_limit(exact).total == isl_limit([0.25, 0.6, 0.9]).total
 
     def test_rejects_fractions_not_one_dimensional(self):
         for fractions, shape in ((0.25, r"\(\)"), ([[0.25, 0.5]], r"\(1, 2\)")):

@@ -240,6 +240,12 @@ class TestPowerSums:
                     function(a, b)
 
 
+    @pytest.mark.parametrize("function", [power_sum_at_negated_roots, pattern_decomposition])
+    def test_python_ints_beyond_int64_cast_to_float(self, function):
+        big = [2**70, 0, 0]
+        assert np.asarray(big).dtype == object
+        assert function(big, [1, 0, 0]) == function([2.0**70, 0, 0], [1, 0, 0])
+
 class TestInterpolateNegatedRoot:
     def test_reproduces_constants(self):
         for n in (3, 7, 11):
