@@ -63,16 +63,17 @@ def isl_limit(fractions) -> AsymptoticIsl:
     f = check_fractions(fractions)
     if f.ndim == 0:
         raise ValueError("expected rotation fractions of shape (M,) or (..., M), got a scalar")
-    if f.shape[-1] == 0:
+    m = f.shape[-1]
+    if m == 0:
         raise ValueError("rotation set is empty")
     pair = _cross(f[..., :, None], f[..., None, :])
-    pair = np.where(np.eye(f.shape[-1], dtype=bool), 0.0, pair)
+    pair = np.where(np.eye(m, dtype=bool), 0.0, pair)
     # the pair limit at (f, f) less the mainlobe 1 is the auto term, as the
     # report's diagonal less n^2 is; cumsum adds strictly left to right, in
     # the order of the term loop (p outer, q inner), so any batch row
     # equals its single-set value bit for bit
     auto = np.cumsum(_cross(f, f) - 1.0, axis=-1)[..., -1]
-    cross = np.cumsum(pair.reshape(*f.shape[:-1], -1), axis=-1)[..., -1]
+    cross = np.cumsum(pair.reshape(*f.shape[:-1], m * m), axis=-1)[..., -1]
     if f.ndim == 1:
         return AsymptoticIsl(auto_part=float(auto), cross_part=float(cross))
     return AsymptoticIsl(auto_part=auto, cross_part=cross)

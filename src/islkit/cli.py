@@ -81,7 +81,9 @@ def parse_fraction(token: str) -> float:
         value = float(Fraction(token)) if "/" in token else float(token)
     except OverflowError:  # a rational too large for a float
         value = math.inf
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:  # its text is only the Fraction call
+        raise UsageError(f"invalid fraction {token!r}: zero denominator") from None
+    except ValueError as exc:
         raise UsageError(f"invalid fraction {token!r}: {exc}") from None
     if not math.isfinite(value):
         raise UsageError(f"invalid fraction {token!r}: not a finite number")

@@ -80,8 +80,7 @@ def random_quads(rng, n: int, count: int) -> np.ndarray:
         raise ValueError("stratified quadruples need n >= 5")
     per = max(1, count // 5)
     quads = _distinct_draws(rng, n, per, 4)[:, _PATTERNS].reshape(-1, 4)
-    perm = rng.permuted(np.tile(np.arange(4), (len(quads), 1)), axis=1)
-    return np.take_along_axis(quads, perm, axis=1)
+    return rng.permuted(quads, axis=1)
 
 
 # energy_matrix_spectral against exact energies, here and in isl's cross-check

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic for every n < 3.3e24
-    (the witnesses below); past that a composite could pass."""
+    (the witnesses below); past that a composite could pass.  n must be
+    an integer (numpy integers included): a float raises TypeError."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _MR_WITNESSES:

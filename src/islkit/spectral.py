@@ -168,9 +168,10 @@ def energy_matrix_spectral(rows) -> np.ndarray:
     each stand for a conjugate pair, so they carry the weight sqrt(2).
     The diagonal minus n^2 (the lag-0 mainlobe) is each row's auto
     sidelobe energy."""
-    if np.ndim(rows) != 2:
-        raise ValueError(f"expected an (M, n) array of sequences, got shape {np.shape(rows)}")
-    n = np.shape(rows)[-1]
+    rows = _real_array(rows, "sequences")
+    if rows.ndim != 2:
+        raise ValueError(f"expected an (M, n) array of sequences, got shape {rows.shape}")
+    n = rows.shape[-1]
     _require_odd(n)
     length = _smooth_length(2 * n - 1)
     # bins k with 2k = 0 (mod L), 0 and L/2, are their own conjugates
@@ -213,38 +214,33 @@ def kernel_sums_closed_form(quads, n: int) -> np.ndarray:
     matters: all equal, three equal, two pairs, one pair plus two
     distinct, or all distinct (which sums to zero); each of the first
     four is one pattern kernel, evaluated at the quadruples it covers.
+    Each reads the roles p, an index of highest multiplicity, and lo and
+    hi, the least and greatest other index: K(p, p, p, p), K(p, p, p, lo),
+    K(p, p, lo, lo) and K(p, p, lo, hi).
     """
     _require_odd(n)
     quads = np.asarray(quads, dtype=np.int64) % n
     eps = roots_of_unity(n)
     s = np.sort(quads, axis=1)
     e01, e12, e23 = (s[:, :-1] == s[:, 1:]).T
+    # a triple, or a pair in the middle, holds s1; else a pair holds s0 or s2
+    p = np.where(e12, s[:, 1], np.where(e01, s[:, 0], s[:, 2]))
+    # p's own slots read as s3 for lo and s0 for hi: p only if all are equal
+    lo = np.where(s == p[:, None], s[:, 3:], s).min(axis=1)
+    hi = np.where(s == p[:, None], s[:, :1], s).max(axis=1)
 
-    def g(q, p):
-        return 1.0 / (eps[q] - eps[p])
+    def g(q, mask):
+        return 1.0 / (eps[q[mask]] - eps[p[mask]])
 
     out = np.zeros(len(quads), dtype=np.complex128)
-
     mask = e01 & e12 & e23
-    out[mask] = _all_equal(n, eps[s[mask, 0]])
-
-    # three equal: the middle two always belong to the triple, and the
-    # single index sits at either end after sorting
+    out[mask] = _all_equal(n, eps[p[mask]])
     mask = e12 & (e01 != e23)
-    tripled, single = s[mask, 1], np.where(e01[mask], s[mask, 3], s[mask, 0])
-    out[mask] = _three_equal(n, eps[tripled], eps[single], g(single, tripled))
-
+    out[mask] = _three_equal(n, eps[p[mask]], eps[lo[mask]], g(lo, mask))
     mask = e01 & ~e12 & e23
-    out[mask] = _two_pairs(n, g(s[mask, 2], s[mask, 0]))
-
-    # one pair: after sorting it sits first, last or in the middle
+    out[mask] = _two_pairs(n, g(lo, mask))
     mask = e01.astype(int) + e12 + e23 == 1
-    sc, first, last = s[mask], e01[mask], e23[mask]
-    doubled = np.where(first, sc[:, 0], np.where(last, sc[:, 2], sc[:, 1]))
-    lo = np.where(first, sc[:, 2], sc[:, 0])
-    hi = np.where(last, sc[:, 1], sc[:, 3])
-    out[mask] = _one_pair(n, g(lo, doubled), g(hi, doubled))
-
+    out[mask] = _one_pair(n, g(lo, mask), g(hi, mask))
     # all distinct sums to zero: already initialized
     return out
 
@@ -344,13 +340,13 @@ def pattern_decomposition(a, b) -> PatternSums:
     three_equal = bilinear(_three_equal(n, eps[:, None], eps[None, :], g), "pppq")
     two_pairs = bilinear(_two_pairs(n, g), "ppqq") / 2
     # _one_pair(n, 1, 1) g_q g_r is the one-pair kernel; the triple sum's is -g_q g_r
-    one_pair = -_one_pair(n, 1.0, 1.0) / 2 * _one_pair_triple_sum(eps, qa, qb, g, g * g)
+    one_pair = -_one_pair(n, 1.0, 1.0) / 2 * _one_pair_triple_sum(eps, qa, qb, g)
     return PatternSums(all_equal=all_equal, three_equal=three_equal, one_pair=one_pair,
                        two_pairs=two_pairs, n=n)
 
 
 def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray,
-                         g: np.ndarray, g2: np.ndarray) -> complex:
+                         g: np.ndarray) -> complex:
     """Triple sum over distinct (p, q, r) of the one-pair brackets times
     -1 / ((eps_q - eps_p)(eps_r - eps_p)), in O(n^2).
 
@@ -361,11 +357,11 @@ def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray,
     kernel's constant.
 
     With g[p, q] = 1 / (eps_q - eps_p) (0 at q = p), as
-    _inverse_differences builds it, and g2 = g o g, the kernel is
-    -g[p, q] g[p, r], so a separable term x_p y_q z_r sums to
-    -sum_p x_p ((g y)_p (g z)_p - (g2 (y o z))_p): the product of the
-    two single sums over q != p and r != p, less its q = r diagonal.
+    _inverse_differences builds it, the kernel is -g[p, q] g[p, r], so a
+    separable term x_p y_q z_r sums to -sum_p x_p ((g y)_p (g z)_p -
+    ((g o g) (y o z))_p): the product of the two single sums over q != p
+    and r != p, less its q = r diagonal.
     """
     x, y, z = _brackets(eps, qa, qb, "ppqr")
-    gy, gz, gyz = y @ g.T, z @ g.T, (y * z) @ g2.T
+    gy, gz, gyz = y @ g.T, z @ g.T, (y * z) @ (g * g).T
     return complex(-np.sum(x * (gy * gz - gyz)))

@@ -176,6 +176,13 @@ class TestIslLimit:
             with pytest.raises(ValueError, match="rotation set is empty"):
                 isl_limit(np.zeros(shape))
 
+    def test_empty_batch(self):
+        # zero sets of M rotations are no empty set: empty parts of the batch shape
+        for shape, batch in (((0, 2), (0,)), ((2, 0, 3), (2, 0))):
+            lim = isl_limit(np.zeros(shape))
+            assert lim.auto_part.shape == lim.cross_part.shape == batch
+            assert lim.total.shape == batch
+
     def test_errors(self):
         with pytest.raises(ValueError):
             isl_limit([])

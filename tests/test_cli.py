@@ -678,6 +678,19 @@ class TestPlumbing:
         assert lines == []
         assert f"invalid fraction {token!r}: not a finite number" in err
 
+    @pytest.mark.parametrize("token", ["1/0", "0/0", "3/00"])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "7", "--fraction"],
+        ["isl", "--n", "7", "--fractions", "0.25"],
+        ["asym", "--fractions", "0.25"],
+    ])
+    def test_zero_denominator_is_named(self, capsys, argv, token):
+        # not the bare ZeroDivisionError text, "Fraction(1, 0)"
+        code, lines, err = run(capsys, *argv, token)
+        assert code == 1
+        assert lines == []
+        assert f"error: invalid fraction {token!r}: zero denominator\n" in err
+
     @pytest.mark.parametrize("token", ["1.5", "-0.25", "5/4"])
     @pytest.mark.parametrize("argv", [
         ["gen", "--n", "7", "--fraction"],

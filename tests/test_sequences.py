@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from islkit.asymptotic import isl_limit
+from islkit.spectral import legendre_gf_closed_form
 from islkit.sequences import (
     bind_rotations,
     check_antipodal,
@@ -56,6 +57,18 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)  # Mersenne prime
         assert not is_prime(2**62 - 1)
         assert not is_prime((2**31 - 1) * (2**31 + 11))
+
+    def test_numpy_integers_pass(self):
+        # past the witnesses, pow() used to refuse a numpy modulus with TypeError
+        assert is_prime(np.int64(41)) and not is_prime(np.int32(49))
+
+    @pytest.mark.parametrize("n", [7.0, 41.0, np.float64(41.0)])
+    def test_rejects_float_length(self, n):
+        # 7.0 used to pass and 41.0 to fail inside pow(); every float names no length
+        for call in (lambda: is_prime(n), lambda: bind_rotations([0.1], n),
+                     lambda: legendre_gf_closed_form(n, 1, 1)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_prime_iteration(self):
         assert primes_in_range(8, 11) == [11]
