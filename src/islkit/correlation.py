@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import check_antipodal
+from .sequences import _real_array, check_antipodal
 from .spectral import _smooth_length, power_spectrum
 
 
@@ -69,8 +69,7 @@ class IslReport(IslTotals):
 def aperiodic_correlation(a, b) -> np.ndarray:
     """Aperiodic cross-correlation X(k) = sum_j a_j * b_{j+k} over lags
     k = -n+1 .. n-1; lag k sits at index k + n - 1 of the 2n-1 values."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _real_array(a, "sequence"), _real_array(b, "sequence")
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return np.correlate(b, a, mode="full")

@@ -13,14 +13,20 @@ generic radix-n pass for a prime n.  Lagrange interpolation from the
 n-th roots to their negatives is one circulant convolution, taken
 through gf_at_roots as a sign flip of the odd-indexed coefficients.
 S_minus additionally admits a closed-form expansion through
-partial-fraction kernel sums over quadruples of root indices, which
-collapses to O(n^2) sums; every closed form has a direct twin.
+partial-fraction kernel sums over quadruples of root indices.  Every
+kernel depends on the roots only through 1 / (eps_q - eps_p) =
+conj(eps_p) / (eps_d - 1), d = (q - p) mod n, so one length-n
+difference column serves the closed-form kernel sums and the expansion,
+whose sums over root indices are circulants along d, taken through
+gf_at_roots in O(n log n) time and O(n) memory; every closed form has a
+direct twin.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +40,24 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 
 def _require_odd(n: int) -> None:
-    if n % 2 == 0:
+    # operator.index: a float n raises TypeError, as in is_prime
+    if operator.index(n) % 2 == 0:
         raise ValueError(f"length must be odd, got {n}")
+
+
+def _odd_length(x: np.ndarray, ndim: int = 1, what: str = "a one-dimensional sequence") -> int:
+    # the length of x's last axis, which must be odd, x having ndim axes
+    if x.ndim != ndim:
+        raise ValueError(f"expected {what}, got shape {x.shape}")
+    _require_odd(x.shape[-1])
+    return x.shape[-1]
 
 
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:
     a, b = _real_array(a, "sequence"), _real_array(b, "sequence")
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    _require_odd(len(a))
-    return a, b, len(a)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b, _odd_length(a)
 
 
 def _row_sums(terms, rows: int, n: int, dtype) -> np.ndarray:
@@ -153,8 +167,7 @@ def interpolate_negated_root(at_roots, j):
     odd-indexed coefficients of Q, which the inverse transform recovers.
     """
     at_roots = np.asarray(at_roots)
-    n = len(at_roots)
-    _require_odd(n)
+    n = _odd_length(at_roots)
     coeffs = np.conj(gf_at_roots(np.conj(at_roots))) / n
     values = gf_at_roots((-1.0) ** np.arange(n) * coeffs)
     return values[np.asarray(j) % n]
@@ -169,15 +182,21 @@ def energy_matrix_spectral(rows) -> np.ndarray:
     The diagonal minus n^2 (the lag-0 mainlobe) is each row's auto
     sidelobe energy."""
     rows = _real_array(rows, "sequences")
-    if rows.ndim != 2:
-        raise ValueError(f"expected an (M, n) array of sequences, got shape {rows.shape}")
-    n = rows.shape[-1]
-    _require_odd(n)
+    n = _odd_length(rows, 2, "an (M, n) array of sequences")
     length = _smooth_length(2 * n - 1)
     # bins k with 2k = 0 (mod L), 0 and L/2, are their own conjugates
     weights = np.where(2 * np.arange(length // 2 + 1) % length, np.sqrt(2.0), 1.0)
     power = power_spectrum(rows, length).real * weights
     return power @ power.T / length
+
+
+def _index_quads(quads, n: int) -> np.ndarray:
+    # a (K, 4) int64 array of index quadruples, reduced mod the odd length n
+    _require_odd(n)
+    quads = np.asarray(quads, dtype=np.int64)
+    if quads.ndim != 2 or quads.shape[1] != 4:
+        raise ValueError(f"expected a (K, 4) array of index quadruples, got shape {quads.shape}")
+    return quads % n
 
 
 def kernel_sums_direct(quads, n: int) -> np.ndarray:
@@ -191,8 +210,7 @@ def kernel_sums_direct(quads, n: int) -> np.ndarray:
     terms is four gathered table rows multiplied together, summed along
     the row by _row_sums.
     """
-    _require_odd(n)
-    quads = np.asarray(quads, dtype=np.int64) % n
+    quads = _index_quads(quads, n)
     eps = roots_of_unity(n)
     half = np.exp(1j * np.pi * np.arange(n) / n)  # h_j, h_j^2 = eps_j
     table = half / np.add.outer(eps, eps)
@@ -216,33 +234,33 @@ def kernel_sums_closed_form(quads, n: int) -> np.ndarray:
     four is one pattern kernel, evaluated at the quadruples it covers.
     Each reads the roles p, an index of highest multiplicity, and lo and
     hi, the least and greatest other index: K(p, p, p, p), K(p, p, p, lo),
-    K(p, p, lo, lo) and K(p, p, lo, hi).
+    K(p, p, lo, lo) and K(p, p, lo, hi).  Each kernel is read at p = 0
+    on the difference column (_inverse_differences) at lo - p and hi - p
+    (mod n), and the result is scaled by conj(eps_p)^2 once.
     """
-    _require_odd(n)
-    quads = np.asarray(quads, dtype=np.int64) % n
+    quads = _index_quads(quads, n)
     eps = roots_of_unity(n)
     s = np.sort(quads, axis=1)
     e01, e12, e23 = (s[:, :-1] == s[:, 1:]).T
     # a triple, or a pair in the middle, holds s1; else a pair holds s0 or s2
     p = np.where(e12, s[:, 1], np.where(e01, s[:, 0], s[:, 2]))
-    # p's own slots read as s3 for lo and s0 for hi: p only if all are equal
-    lo = np.where(s == p[:, None], s[:, 3:], s).min(axis=1)
-    hi = np.where(s == p[:, None], s[:, :1], s).max(axis=1)
-
-    def g(q, mask):
-        return 1.0 / (eps[q[mask]] - eps[p[mask]])
+    # p's own slots read as s3 for lo and s0 for hi: p only if all are equal;
+    # the kernels read lo and hi by their differences from p
+    d_lo = (np.where(s == p[:, None], s[:, 3:], s).min(axis=1) - p) % n
+    d_hi = (np.where(s == p[:, None], s[:, :1], s).max(axis=1) - p) % n
+    c = _inverse_differences(eps)
 
     out = np.zeros(len(quads), dtype=np.complex128)
     mask = e01 & e12 & e23
-    out[mask] = _all_equal(n, eps[p[mask]])
+    out[mask] = _all_equal(n)
     mask = e12 & (e01 != e23)
-    out[mask] = _three_equal(n, eps[p[mask]], eps[lo[mask]], g(lo, mask))
+    out[mask] = _three_equal(n, eps[d_lo[mask]], c[d_lo[mask]])
     mask = e01 & ~e12 & e23
-    out[mask] = _two_pairs(n, g(lo, mask))
+    out[mask] = _two_pairs(n, c[d_lo[mask]])
     mask = e01.astype(int) + e12 + e23 == 1
-    out[mask] = _one_pair(n, g(lo, mask), g(hi, mask))
+    out[mask] = _one_pair(n, c[d_lo[mask]], c[d_hi[mask]])
     # all distinct sums to zero: already initialized
-    return out
+    return out * np.conj(eps[p]) ** 2
 
 
 @dataclass(frozen=True)
@@ -268,32 +286,37 @@ class PatternSums:
 
 
 def _inverse_differences(eps: np.ndarray) -> np.ndarray:
-    """g[p, q] = 1 / (eps_q - eps_p) off the diagonal, 0 on it."""
-    diff = eps[None, :] - eps[:, None]
-    np.fill_diagonal(diff, 1.0)
-    g = 1.0 / diff
-    np.fill_diagonal(g, 0.0)
-    return g
+    """The difference column c_d = 1 / (eps_d - 1), c_0 = 0.
+
+    With d = (q - p) mod n, eps_q - eps_p = eps_p (eps_d - 1), so every
+    inverse root difference 1 / (eps_q - eps_p) is conj(eps_p) c_d: one
+    length-n vector stands for the whole n x n matrix.
+    """
+    c = np.zeros_like(eps)
+    c[1:] = 1.0 / (eps[1:] - 1.0)
+    return c
 
 
 # Pattern kernels K(q) = sum_j eps_j^2 / prod_i (eps_j + eps_{q_i}), one per
-# coincidence pattern, in root values p = eps_p, q = eps_q and inverse
-# differences g = 1 / (eps_q - eps_p) (g_q, g_r from eps_p): kernel_sums_closed_form
-# takes them at its quadruples, pattern_decomposition on the (p, q) grid.
+# coincidence pattern.  Adding p to every index scales K by conj(eps_p)^2
+# (substitute eps_j -> eps_p eps_j), so each is written at p = 0, in the
+# root value q = eps_d and the difference column g = c_d of d = (q - p) mod n
+# (g_q, g_r for two such d): kernel_sums_closed_form reads them at its
+# quadruples' differences, pattern_decomposition along the whole column.
 
-def _all_equal(n, p):  # K(p, p, p, p)
-    return (n**4 / 3.0 + 2.0 * n**2 / 3.0) / 16.0 / p**2
-
-
-def _three_equal(n, p, q, g):  # K(p, p, p, q)
-    return (n**2 / 8.0) * (q + p) / p * g**2
+def _all_equal(n):  # K(0, 0, 0, 0)
+    return (n**4 / 3.0 + 2.0 * n**2 / 3.0) / 16.0
 
 
-def _two_pairs(n, g):  # K(p, p, q, q)
+def _three_equal(n, q, g):  # K(0, 0, 0, d)
+    return (n**2 / 8.0) * (q + 1.0) * g**2
+
+
+def _two_pairs(n, g):  # K(0, 0, d, d)
     return -(n**2 / 2.0) * g**2
 
 
-def _one_pair(n, g_q, g_r):  # K(p, p, q, r), q != r
+def _one_pair(n, g_q, g_r):  # K(0, 0, d, e), d != e
     return -(n**2 / 4.0) * g_q * g_r
 
 
@@ -316,39 +339,50 @@ def _brackets(eps, qa, qb, word: str) -> np.ndarray:
     return np.where(_arrangements(word), slots, 1.0).prod(axis=2)
 
 
+def _circulant(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # sum_d kernel_d y_((p + d) mod n) for each row y and every p, along the
+    # last axis (kernel broadcast over rows): three transforms, since
+    # gf_at_roots diagonalizes every circulant
+    return np.conj(gf_at_roots(
+        np.conj(gf_at_roots(rows)) * gf_at_roots(np.conj(kernel)))) / kernel.shape[-1]
+
+
 def pattern_decomposition(a, b) -> PatternSums:
     """Closed-form decomposition of the negated-roots power sum.
 
     The quadruple index sum collapses, pattern by pattern, to one O(n)
-    term and three O(n^2) sums, the pattern kernels evaluated on the
-    (p, q) grid; the one-pair triple sum factors through the matrix of
-    inverse root differences.  Time and memory are O(n^2).
+    term and sums over (p, q) and (p, q, r) of a pattern kernel times its
+    brackets.  Each kernel is conj(eps_p)^2 times a function of
+    d = (q - p) mod n on the difference column (_inverse_differences), so
+    its sum over q is a circulant along d, taken through gf_at_roots; the
+    one-pair triple sum factors into such circulants.  Time is
+    O(n log n) and memory O(n): no n x n array is formed.
     """
     a, b, n = _as_pair(a, b)
     eps = roots_of_unity(n)
     qa, qb = gf_at_roots(a), gf_at_roots(b)
-    g = _inverse_differences(eps)  # 0 at p = q, so every kernel is 0 there
+    c = _inverse_differences(eps)  # c_0 = 0, so every kernel is 0 at q = p
 
-    # sums over ordered (p, q) of bilinear forms x^T K y; ppqq and its
-    # swap qqpp are both arrangements, so they visit each quadruple twice
+    # sums over ordered (p, q) of x_p K(p, q) y_q; ppqq and its swap qqpp
+    # are both arrangements, so they visit each quadruple twice
     def bilinear(kernel, word):
         x, y = _brackets(eps, qa, qb, word)
-        return complex(np.sum(x * (y @ kernel.T)))
+        return complex(np.sum(np.conj(eps) ** 2 * x * _circulant(kernel, y)))
 
     (x,) = _brackets(eps, qa, qb, "pppp")
-    all_equal = complex(np.sum(_all_equal(n, eps) * x))
-    three_equal = bilinear(_three_equal(n, eps[:, None], eps[None, :], g), "pppq")
-    two_pairs = bilinear(_two_pairs(n, g), "ppqq") / 2
+    all_equal = complex(np.sum(_all_equal(n) * np.conj(eps) ** 2 * x))
+    three_equal = bilinear(_three_equal(n, eps, c), "pppq")
+    two_pairs = bilinear(_two_pairs(n, c), "ppqq") / 2
     # _one_pair(n, 1, 1) g_q g_r is the one-pair kernel; the triple sum's is -g_q g_r
-    one_pair = -_one_pair(n, 1.0, 1.0) / 2 * _one_pair_triple_sum(eps, qa, qb, g)
+    one_pair = -_one_pair(n, 1.0, 1.0) / 2 * _one_pair_triple_sum(eps, qa, qb, c)
     return PatternSums(all_equal=all_equal, three_equal=three_equal, one_pair=one_pair,
                        two_pairs=two_pairs, n=n)
 
 
 def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray,
-                         g: np.ndarray) -> complex:
+                         c: np.ndarray) -> complex:
     """Triple sum over distinct (p, q, r) of the one-pair brackets times
-    -1 / ((eps_q - eps_p)(eps_r - eps_p)), in O(n^2).
+    -1 / ((eps_q - eps_p)(eps_r - eps_p)), in O(n log n).
 
     The brackets are the twelve arrangements of ppqr over the four kernel
     slots (_brackets).  Swapping q and r turns one into another, so the
@@ -356,12 +390,14 @@ def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray,
     pattern_decomposition halves it before scaling by the one-pair
     kernel's constant.
 
-    With g[p, q] = 1 / (eps_q - eps_p) (0 at q = p), as
-    _inverse_differences builds it, the kernel is -g[p, q] g[p, r], so a
-    separable term x_p y_q z_r sums to -sum_p x_p ((g y)_p (g z)_p -
-    ((g o g) (y o z))_p): the product of the two single sums over q != p
-    and r != p, less its q = r diagonal.
+    With c the difference column (_inverse_differences, c_0 = 0), the
+    kernel is -conj(eps_p)^2 c_((q - p) mod n) c_((r - p) mod n), so a
+    separable term x_p y_q z_r sums to -sum_p conj(eps_p)^2 x_p
+    ((C_c y)_p (C_c z)_p - (C_(c^2) (y o z))_p), C_k the circulant
+    y -> sum_d k_d y_(p + d) (_circulant): the product of the two single
+    sums over q != p and r != p, less its q = r diagonal.  The three
+    circulants share one stack of transforms, a kernel per stacked block.
     """
     x, y, z = _brackets(eps, qa, qb, "ppqr")
-    gy, gz, gyz = y @ g.T, z @ g.T, (y * z) @ (g * g).T
-    return complex(-np.sum(x * (gy * gz - gyz)))
+    cy, cz, cyz = _circulant(np.array([c, c, c * c])[:, None], np.array([y, z, y * z]))
+    return complex(-np.sum(np.conj(eps) ** 2 * x * (cy * cz - cyz)))

@@ -78,6 +78,19 @@ class TestAperiodicCorrelation:
         with pytest.raises(ValueError):
             aperiodic_correlation([1, 1], [1, 1, -1])
 
+    @pytest.mark.parametrize("call", [
+        lambda s: aperiodic_correlation(s, [1, 1, 1]),
+        lambda s: aperiodic_correlation([1, 1, 1], s),
+        lambda s: cross_energy(s, [1, 1, 1]),
+        lambda s: cross_energy([1, 1, 1], s),
+        periodic_autocorrelation,
+    ])
+    @pytest.mark.parametrize("complex_seq", [np.array([1 + 5j, 1, 1]), [1 + 5j, 1, 1]])
+    def test_complex_input_rejected(self, call, complex_seq):
+        # a float64 cast would keep only the real part, with a ComplexWarning
+        with pytest.raises(ValueError, match="sequence must be real, got dtype complex128"):
+            call(complex_seq)
+
 
 class TestEnergies:
     # a sequence's auto sidelobe energy is its self cross energy less

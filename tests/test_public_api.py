@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -141,23 +142,26 @@ def test_one_caller_per_fft():
     # one power-spectrum primitive under the exact and spectral paths:
     # rfft only in spectral.power_spectrum, its inverse only in the row
     # routine both exact paths share, the complex transform only in
-    # gf_at_roots
-    callers = {}
-    for layer in ("asymptotic", "cli", "correlation", "optimize", "selfcheck",
-                  "sequences", "spectral"):
-        tree = ast.parse(inspect.getsource(importlib.import_module(f"islkit.{layer}")))
-        for stmt in tree.body:
-            where = f"{layer}.{getattr(stmt, 'name', '<module>')}"
+    # gf_at_roots; every module of the package is walked, and numpy.fft
+    # is named nowhere else, not even as a bare reference
+    callers, named = {}, set()
+    for path in sorted(pathlib.Path(islkit.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
             for node in ast.walk(stmt):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
                     assert not any("fft" in name for name in names), where
+                if isinstance(node, ast.Attribute) and node.attr == "fft":
+                    named.add(where)
                 if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
                         and node.value.attr == "fft"):
                     callers.setdefault(node.attr, set()).add(where)
     assert callers == {"rfft": {"spectral.power_spectrum"},
                        "irfft": {"correlation._rounded_autocorrelation"},
                        "ifft": {"spectral.gf_at_roots"}}
+    assert named == {"spectral.power_spectrum", "correlation._rounded_autocorrelation",
+                     "spectral.gf_at_roots"}
 
 
 def test_report_is_the_totals_plus_its_pairs():

@@ -123,7 +123,17 @@ class TestRunValidation:
         n, q, d = 61, 1 + np.sqrt(61), selfcheck._fft_value_error(61)
         lam = 2 / n * np.sum(1 / np.abs(1 + spectral.roots_of_unity(n)))
         assert round(lam, 2) == 3.58
-        assert 16 * (lam**4 + lam**3) * q**3 * d / n**2 + 2e-11 < 6.7e-9
+        # rounding in the circulants along the difference column c
+        c = spectral._inverse_differences(spectral.roots_of_unity(n))
+        assert np.linalg.norm(c) ** 2 == pytest.approx((n**2 - 1) / 12)
+        assert np.linalg.norm(c**2) ** 2 == pytest.approx((n**2 - 1) * (n**2 + 11) / 720)
+        assert round(np.abs(c).sum(), 1) == 82.3
+
+        def spread(k):
+            return d / n * (3 * np.abs(k).sum() + np.sqrt(n) * np.linalg.norm(k))
+        rounding = 64 * q**4 * (4 * spread(c**2) + 3 * np.abs(c).sum() * spread(c)) / n**4
+        assert rounding < 5.1e-10
+        assert 16 * (lam**4 + lam**3) * q**3 * d / n**2 + rounding + 2e-11 < 7.2e-9
 
 
 class TestWorstError:

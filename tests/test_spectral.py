@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,13 @@ class TestPowerSums:
             power_sum_at_negated_roots([1, 1, -1], [1, 1])
 
     @pytest.mark.parametrize("function", [power_sum_at_negated_roots, pattern_decomposition])
+    def test_two_dimensional_input_rejected(self, function):
+        with pytest.raises(ValueError, match=r"one-dimensional sequence, got shape \(3, 5\)"):
+            function(np.ones((3, 5)), np.ones((3, 5)))
+        with pytest.raises(ValueError, match=r"shape mismatch: \(5,\) vs \(5, 5\)"):
+            function(np.ones(5), np.ones((5, 5)))
+
+    @pytest.mark.parametrize("function", [power_sum_at_negated_roots, pattern_decomposition])
     @pytest.mark.parametrize("complex_seq", [np.array([1 + 1j, 0, 0]), [1 + 1j, 0, 0]])
     def test_complex_input_rejected_without_a_warning(self, function, complex_seq):
         # a float64 cast would keep only the real part of an array and
@@ -283,6 +291,10 @@ class TestInterpolateNegatedRoot:
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             interpolate_negated_root(np.ones(4, dtype=complex), 0)
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"one-dimensional sequence, got shape \(3, 5\)"):
+            interpolate_negated_root(np.ones((3, 5)), 0)
 
     @pytest.mark.parametrize("n", [3, 9, 33, 199])
     def test_array_of_j_matches_scalar_j(self, n):
@@ -460,6 +472,15 @@ class TestKernelSums:
                 with pytest.raises(ValueError):
                     fn(np.zeros((1, 4), dtype=int), n)
 
+    @pytest.mark.parametrize("fn", [kernel_sums_direct, kernel_sums_closed_form])
+    def test_inputs_checked(self, fn):
+        # a float length, as in is_prime, and any shape but (K, 4)
+        with pytest.raises(TypeError):
+            fn([(0, 0, 1, 1)], 7.0)
+        for quads in ([0, 1, 2, 3], np.zeros((2, 3), int), np.zeros((1, 4, 1), int), []):
+            with pytest.raises(ValueError, match=r"\(K, 4\) array of index quadruples, got shape"):
+                fn(quads, 7)
+
 
 class TestPatternDecomposition:
     def test_reconstruction_matches_direct(self):
@@ -496,9 +517,10 @@ class TestPatternDecomposition:
         )
 
     def test_no_size_gate(self):
-        # O(n^2) throughout, so lengths past the old n <= 61 gate run;
-        # 63 is odd but not prime
-        for n in (63, 67, 199):
+        # O(n log n) time and O(n) memory, so lengths past the old n <= 61
+        # gate run, up to n = 10007, where one n x n complex array would
+        # take 1.6 GB; 63 is odd but not prime
+        for n in (63, 67, 199, 10007):
             a = np.where(np.arange(n) % 3 == 0, 1, -1) if n == 63 else legendre_sequence(n)
             b = np.roll(a, n // 5)
             direct = power_sum_at_negated_roots(a, b)
@@ -506,9 +528,31 @@ class TestPatternDecomposition:
             assert abs(recon.real - direct) <= 1e-9 * direct, n
             assert abs(recon.imag) <= 1e-9 * direct, n
 
+    def test_memory_is_linear(self):
+        # no n x n array: one at n = 1009 would take 16 MB
+        base = legendre_sequence(1009)
+        a, b = rotate_left(base, 3), rotate_left(base, 500)
+        tracemalloc.start()
+        try:
+            pattern_decomposition(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             pattern_decomposition([1, -1], [1, -1])
+
+
+class TestInverseDifferences:
+    @pytest.mark.parametrize("n", [3, 5, 7, 13, 61, 101, 1009])
+    def test_transform_is_the_integer_sawtooth(self, n):
+        # sum_d eps_k^d / (eps_d - 1) over d != 0 is (n - 1)/2 - ((k - 1) mod n)
+        k = np.arange(n)
+        got = gf_at_roots(_inverse_differences(roots_of_unity(n)))
+        assert got.shape == (n,)
+        assert np.abs(got - ((n - 1) / 2 - (k - 1) % n)).max() <= 1e-10
 
 
 def _one_pair_triple_sum_brute(eps, qa, qb):
@@ -555,14 +599,14 @@ class TestOnePairTripleSum:
     def test_factored_matches_brute_force_on_legendre_rotations(self, n):
         rng = np.random.default_rng(100 + n)
         eps = np.asarray(roots_of_unity(n))
-        g = _inverse_differences(eps)
+        c = _inverse_differences(eps)
         base = legendre_sequence(n)
         for _ in range(3):
             ta, tb = rng.integers(0, n, size=2)
             qa = gf_at_roots(rotate_left(base, int(ta)))
             qb = gf_at_roots(rotate_left(base, int(tb)))
             want, scale = _one_pair_triple_sum_brute(eps, qa, qb)
-            got = _one_pair_triple_sum(eps, qa, qb, g)
+            got = _one_pair_triple_sum(eps, qa, qb, c)
             # ta == tb can cancel the sum to rounding noise
             assert abs(got - want) <= 1e-13 * scale, (n, ta, tb)
 
@@ -570,11 +614,11 @@ class TestOnePairTripleSum:
     def test_factored_matches_brute_force_on_random_values(self, n):
         rng = np.random.default_rng(200 + n)
         eps = np.asarray(roots_of_unity(n))
-        g = _inverse_differences(eps)
+        c = _inverse_differences(eps)
         for _ in range(3):
             qa = rng.normal(size=n) + 1j * rng.normal(size=n)
             qb = rng.normal(size=n) + 1j * rng.normal(size=n)
             want, scale = _one_pair_triple_sum_brute(eps, qa, qb)
-            got = _one_pair_triple_sum(eps, qa, qb, g)
+            got = _one_pair_triple_sum(eps, qa, qb, c)
             assert abs(got - want) <= 1e-13 * scale, n
             assert abs(got - want) <= 1e-12 * abs(want), n
