@@ -24,8 +24,6 @@ direct twin.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -40,17 +38,16 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 
 def _require_odd(n: int) -> None:
-    # operator.index: a float n raises TypeError, as in is_prime
-    if operator.index(n) % 2 == 0:
+    if n % 2 == 0:
         raise ValueError(f"length must be odd, got {n}")
 
 
-def _odd_length(x: np.ndarray, ndim: int = 1, what: str = "a one-dimensional sequence") -> int:
-    # the length of x's last axis, which must be odd, x having ndim axes
-    if x.ndim != ndim:
-        raise ValueError(f"expected {what}, got shape {x.shape}")
-    _require_odd(x.shape[-1])
-    return x.shape[-1]
+def _odd_length(x: np.ndarray) -> int:
+    # the length of the one-dimensional x, which must be odd
+    if x.ndim != 1:
+        raise ValueError(f"expected a one-dimensional sequence, got shape {x.shape}")
+    _require_odd(len(x))
+    return len(x)
 
 
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:
@@ -182,7 +179,10 @@ def energy_matrix_spectral(rows) -> np.ndarray:
     The diagonal minus n^2 (the lag-0 mainlobe) is each row's auto
     sidelobe energy."""
     rows = _real_array(rows, "sequences")
-    n = _odd_length(rows, 2, "an (M, n) array of sequences")
+    if rows.ndim != 2:
+        raise ValueError(f"expected an (M, n) array of sequences, got shape {rows.shape}")
+    n = rows.shape[-1]
+    _require_odd(n)
     length = _smooth_length(2 * n - 1)
     # bins k with 2k = 0 (mod L), 0 and L/2, are their own conjugates
     weights = np.where(2 * np.arange(length // 2 + 1) % length, np.sqrt(2.0), 1.0)
@@ -191,8 +191,9 @@ def energy_matrix_spectral(rows) -> np.ndarray:
 
 
 def _index_quads(quads, n: int) -> np.ndarray:
-    # a (K, 4) int64 array of index quadruples, reduced mod the odd length n
-    _require_odd(n)
+    # a (K, 4) int64 array of index quadruples, reduced mod the odd length n;
+    # operator.index: a float n raises TypeError, as in is_prime
+    _require_odd(operator.index(n))
     quads = np.asarray(quads, dtype=np.int64)
     if quads.ndim != 2 or quads.shape[1] != 4:
         raise ValueError(f"expected a (K, 4) array of index quadruples, got shape {quads.shape}")
@@ -320,31 +321,20 @@ def _one_pair(n, g_q, g_r):  # K(0, 0, d, e), d != e
     return -(n**2 / 4.0) * g_q * g_r
 
 
-@functools.cache
-def _arrangements(word: str) -> np.ndarray:
-    """Masks (role, arrangement, slot, 1): which of the four kernel slots
-    each index of the word takes, per distinct arrangement of the word."""
-    places = np.array(list(dict.fromkeys(itertools.permutations(word))))
-    return np.array([places == role for role in sorted(set(word))])[..., None]
+# the six slot pairs (i, j), i < j: pair 5 - k holds the two slots pair k leaves
+_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 
 
-def _brackets(eps, qa, qb, word: str) -> np.ndarray:
-    """Bracket terms of a coincidence pattern, e.g. "ppqr" for a pair p and
-    singles q, r.  Interpolating Q(-eps_j) and its conjugate
-    (interpolate_negated_root) gives S_minus = (16 / n^4) sum_q K(q)
-    prod_i v_i(q_i), the slots carrying v = (eps Q_a, Q_a*, eps Q_b, Q_b*).
-    Returns the factors of p, q (, r), a row per arrangement of the word
-    over the slots, each the product of the slots that index takes."""
-    slots = np.array([eps * qa, qa.conj(), eps * qb, qb.conj()])
-    return np.where(_arrangements(word), slots, 1.0).prod(axis=2)
-
-
-def _circulant(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # sum_d kernel_d y_((p + d) mod n) for each row y and every p, along the
-    # last axis (kernel broadcast over rows): three transforms, since
-    # gf_at_roots diagonalizes every circulant
-    return np.conj(gf_at_roots(
-        np.conj(gf_at_roots(rows)) * gf_at_roots(np.conj(kernel)))) / kernel.shape[-1]
+def _circulants(kernels, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # C_k y = sum_d k_d y_((p + d) mod n) at every p.  For each kernel pair
+    # (k, l): C_k of every slot row v and C_l of every pair row w, stacked
+    # along a first axis.  gf_at_roots diagonalizes every circulant: three
+    # transforms, the rows' and the kernels' in one call, the inverse in one
+    rows, n = np.concatenate([v, w]), v.shape[-1]
+    spectra = gf_at_roots(np.concatenate([rows, np.conj(kernels).reshape(-1, n)]))
+    kernel = spectra[len(rows):].reshape(-1, 2, n)[:, [0] * len(v) + [1] * len(w)]
+    out = np.conj(gf_at_roots(np.conj(spectra[:len(rows)]) * kernel)) / n
+    return out[:, :len(v)], out[:, len(v):]
 
 
 def pattern_decomposition(a, b) -> PatternSums:
@@ -358,46 +348,48 @@ def pattern_decomposition(a, b) -> PatternSums:
     one-pair triple sum factors into such circulants.  Time is
     O(n log n) and memory O(n): no n x n array is formed.
     """
-    a, b, n = _as_pair(a, b)
-    eps = roots_of_unity(n)
-    qa, qb = gf_at_roots(a), gf_at_roots(b)
-    c = _inverse_differences(eps)  # c_0 = 0, so every kernel is 0 at q = p
-
-    # sums over ordered (p, q) of x_p K(p, q) y_q; ppqq and its swap qqpp
-    # are both arrangements, so they visit each quadruple twice
-    def bilinear(kernel, word):
-        x, y = _brackets(eps, qa, qb, word)
-        return complex(np.sum(np.conj(eps) ** 2 * x * _circulant(kernel, y)))
-
-    (x,) = _brackets(eps, qa, qb, "pppp")
-    all_equal = complex(np.sum(_all_equal(n) * np.conj(eps) ** 2 * x))
-    three_equal = bilinear(_three_equal(n, eps, c), "pppq")
-    two_pairs = bilinear(_two_pairs(n, c), "ppqq") / 2
-    # _one_pair(n, 1, 1) g_q g_r is the one-pair kernel; the triple sum's is -g_q g_r
-    one_pair = -_one_pair(n, 1.0, 1.0) / 2 * _one_pair_triple_sum(eps, qa, qb, c)
-    return PatternSums(all_equal=all_equal, three_equal=three_equal, one_pair=one_pair,
-                       two_pairs=two_pairs, n=n)
+    a, b, _ = _as_pair(a, b)
+    return _pattern_sums(*gf_at_roots(np.array([a, b])))
 
 
-def _one_pair_triple_sum(eps: np.ndarray, qa: np.ndarray, qb: np.ndarray,
-                         c: np.ndarray) -> complex:
-    """Triple sum over distinct (p, q, r) of the one-pair brackets times
-    -1 / ((eps_q - eps_p)(eps_r - eps_p)), in O(n log n).
+def _pattern_sums(qa: np.ndarray, qb: np.ndarray) -> PatternSums:
+    """pattern_decomposition from the values Q_a and Q_b at the n-th roots
+    of unity, of real sequences or not.
 
-    The brackets are the twelve arrangements of ppqr over the four kernel
-    slots (_brackets).  Swapping q and r turns one into another, so the
-    sum over ordered (q, r) visits every quadruple twice, and
-    pattern_decomposition halves it before scaling by the one-pair
-    kernel's constant.
+    Interpolating Q(-eps_j) and its conjugate (interpolate_negated_root)
+    gives S_minus = (16 / n^4) sum_q K(q) prod_i v_i(q_i), the four
+    kernel slots carrying v = (eps Q_a, Q_a*, eps Q_b, Q_b*).  Each
+    bracket of a coincidence pattern is a product of rows, one per index
+    from the slots it takes: a slot of v, three of them, or a row of w,
+    the product of a slot pair (_PAIRS).
 
-    With c the difference column (_inverse_differences, c_0 = 0), the
-    kernel is -conj(eps_p)^2 c_((q - p) mod n) c_((r - p) mod n), so a
-    separable term x_p y_q z_r sums to -sum_p conj(eps_p)^2 x_p
-    ((C_c y)_p (C_c z)_p - (C_(c^2) (y o z))_p), C_k the circulant
-    y -> sum_d k_d y_(p + d) (_circulant): the product of the two single
-    sums over q != p and r != p, less its q = r diagonal.  The three
-    circulants share one stack of transforms, a kernel per stacked block.
+    The one-pair brackets are the twelve arrangements of ppqr over the
+    slots: p takes a slot pair, q and r the two slots it leaves, in either
+    order, so the sum over ordered (q, r) visits every quadruple twice and
+    is halved.  Its kernel is -(n^2 / 4) conj(eps_p)^2 c_((q - p) mod n)
+    c_((r - p) mod n), so a separable term x_p y_q z_r sums to
+    conj(eps_p)^2 x_p ((C_c y)_p (C_c z)_p - (C_(c^2) (y o z))_p) over p,
+    times that constant, C_k the circulant y -> sum_d k_d y_(p + d)
+    (_circulants): the product of the two single sums over q != p and
+    r != p, less its q = r diagonal.  Here y and z are single slots and
+    y o z their pair.
     """
-    x, y, z = _brackets(eps, qa, qb, "ppqr")
-    cy, cz, cyz = _circulant(np.array([c, c, c * c])[:, None], np.array([y, z, y * z]))
-    return complex(-np.sum(np.conj(eps) ** 2 * x * (cy * cz - cyz)))
+    n = len(qa)
+    eps = roots_of_unity(n)
+    c = _inverse_differences(eps)  # c_0 = 0, so every kernel is 0 at q = p
+    v = np.array([eps * qa, qa.conj(), eps * qb, qb.conj()])
+    w = v[_PAIRS[0]] * v[_PAIRS[1]]
+    (kv, cv), (kw, cw) = _circulants(
+        [[_three_equal(n, eps, c), _two_pairs(n, c)], [c, c * c]], v, w)
+    u = np.conj(eps) ** 2  # every kernel's factor from p
+    all_equal = np.sum(_all_equal(n) * u * w[0] * w[5])
+    # sums over ordered (p, q) of x_p K(p, q) y_q.  pppq: q takes slot m, p
+    # the other three.  ppqq: q takes pair k, p pair 5 - k; p q and q p are
+    # both arrangements, so each quadruple is visited twice
+    three_equal = np.sum(u * kv * v[[[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].prod(axis=1))
+    two_pairs = np.sum(u * w[::-1] * kw) / 2
+    triple = np.sum(u * w[::-1] * (cv[_PAIRS[0]] * cv[_PAIRS[1]] - cw))
+    # _one_pair(n, 1, 1) c_q c_r is the kernel; both (q, r) orders, halved
+    one_pair = _one_pair(n, 1.0, 1.0) * triple
+    return PatternSums(all_equal=complex(all_equal), three_equal=complex(three_equal),
+                       one_pair=complex(one_pair), two_pairs=complex(two_pairs), n=n)

@@ -11,7 +11,7 @@ from islkit.correlation import cross_energy
 from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 from islkit.spectral import (
     _inverse_differences,
-    _one_pair_triple_sum,
+    _pattern_sums,
     energy_matrix_spectral,
     gf_at_roots,
     gf_eval,
@@ -594,19 +594,24 @@ def _one_pair_triple_sum_brute(eps, qa, qb):
     return complex(np.sum(kernel * bracket)), float(np.sum(np.abs(kernel) * scale))
 
 
+def one_pair_triple_sum(qa, qb):
+    # the one-pair pattern sum is n^2 / 8 times the triple sum: the
+    # kernel's constant n^2 / 4, halved for the two orders of (q, r)
+    return _pattern_sums(qa, qb).one_pair / (len(qa) ** 2 / 8)
+
+
 class TestOnePairTripleSum:
     @pytest.mark.parametrize("n", primes_in_range(3, 31))
     def test_factored_matches_brute_force_on_legendre_rotations(self, n):
         rng = np.random.default_rng(100 + n)
         eps = np.asarray(roots_of_unity(n))
-        c = _inverse_differences(eps)
         base = legendre_sequence(n)
         for _ in range(3):
             ta, tb = rng.integers(0, n, size=2)
             qa = gf_at_roots(rotate_left(base, int(ta)))
             qb = gf_at_roots(rotate_left(base, int(tb)))
             want, scale = _one_pair_triple_sum_brute(eps, qa, qb)
-            got = _one_pair_triple_sum(eps, qa, qb, c)
+            got = one_pair_triple_sum(qa, qb)
             # ta == tb can cancel the sum to rounding noise
             assert abs(got - want) <= 1e-13 * scale, (n, ta, tb)
 
@@ -614,11 +619,10 @@ class TestOnePairTripleSum:
     def test_factored_matches_brute_force_on_random_values(self, n):
         rng = np.random.default_rng(200 + n)
         eps = np.asarray(roots_of_unity(n))
-        c = _inverse_differences(eps)
         for _ in range(3):
             qa = rng.normal(size=n) + 1j * rng.normal(size=n)
             qb = rng.normal(size=n) + 1j * rng.normal(size=n)
             want, scale = _one_pair_triple_sum_brute(eps, qa, qb)
-            got = _one_pair_triple_sum(eps, qa, qb, c)
+            got = one_pair_triple_sum(qa, qb)
             assert abs(got - want) <= 1e-13 * scale, n
             assert abs(got - want) <= 1e-12 * abs(want), n
