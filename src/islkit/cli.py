@@ -11,17 +11,16 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from . import selfcheck
-from .asymptotic import isl_limit
+# Each command imports the other layers it computes with when it runs:
+# the exact path (gen, isl above SPECTRAL_CHECK_MAX_N, sweep's exact
+# column) needs only these two, which the argument checks and the
+# exit-code mapping read as well.
 from .correlation import MAX_EXACT_N, RoundingResidualError, isl_report, isl_totals
-from .optimize import optimize_rotations
 from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequence,
                         primes_in_range)
-from .spectral import energy_matrix_spectral
 
 # isl, sweep and optimize --exact-check stream their rows
 # (correlation.isl_totals): one FFT round trip of length ~2n per block of
@@ -78,7 +77,12 @@ def fmt(x: float) -> str:
 def parse_fraction(token: str) -> float:
     """Rotation fraction in [0, 1] from a decimal or a p/q rational literal."""
     try:
-        value = float(Fraction(token)) if "/" in token else float(token)
+        if "/" in token:
+            from fractions import Fraction  # with decimal: only for a p/q token
+
+            value = float(Fraction(token))
+        else:
+            value = float(token)
     except OverflowError:  # a rational too large for a float
         value = math.inf
     except ZeroDivisionError:  # its text is only the Fraction call
@@ -155,6 +159,9 @@ def cmd_gen(args) -> int:
 
 
 def _isl_spectral_crosscheck(report, seqs) -> None:
+    from . import selfcheck
+    from .spectral import energy_matrix_spectral
+
     direct = report.cross_terms + np.diag(report.auto_terms)
     spectral = energy_matrix_spectral(seqs) - report.n**2 * np.eye(report.m)
     err = np.abs(spectral - direct) / np.maximum(np.abs(direct), 1.0)
@@ -213,6 +220,8 @@ def cmd_isl(args) -> int:
 
 
 def cmd_asym(args) -> int:
+    from .asymptotic import isl_limit
+
     fractions = parse_fraction_list(args.fractions)
     limit = isl_limit(fractions)
     lines = [
@@ -228,6 +237,8 @@ def cmd_surface(args) -> int:
     r = args.resolution
     if not 2 <= r <= SURFACE_RESOLUTION_CAP:
         raise UsageError(f"--resolution must lie in [2, {SURFACE_RESOLUTION_CAP}], got {r}")
+    from .asymptotic import isl_limit
+
     axis = np.arange(r + 1) / r
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     rows = np.column_stack([grid, isl_limit(grid).total])
@@ -241,6 +252,8 @@ def cmd_sweep(args) -> int:
     if args.optimal:
         if args.m is None:
             raise UsageError("--optimal requires --m")
+        from .optimize import optimize_rotations
+
         fractions = list(optimize_rotations(_check_m(args.m)).fractions)
     else:
         fractions = parse_fraction_list(args.fractions)
@@ -252,6 +265,7 @@ def cmd_sweep(args) -> int:
     primes = primes_in_range(max(args.n_min, 3), args.n_max)
     if not primes:
         raise UsageError(f"no odd primes in [{args.n_min}, {args.n_max}]")
+    from .asymptotic import isl_limit
 
     asym = isl_limit(fractions).total
     lines = ["N,exact_normalized,asymptotic,relative_error"]
@@ -264,6 +278,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .optimize import optimize_rotations
+
     result = optimize_rotations(_check_m(args.m))
     lines = [
         " ".join(f"{f:.6g}" for f in result.fractions) + f"  {result.asym_value:.6f}"
@@ -286,6 +302,8 @@ def cmd_validate(args) -> int:
         raise UsageError(f"--max-n must lie in [7, {VALIDATE_MAX_N}], got {args.max_n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+    from . import selfcheck
+
     results = selfcheck.run_validation(args.max_n, args.seed)
     lines = []
     for r in results:

@@ -11,6 +11,11 @@ the autocorrelation matrix R and takes every auto and cross energy from
 it as one int64 matrix product, in O(M n log n + M^2 n) time and O(M n)
 memory.
 
+The engine's forward half, `power_spectrum` at the 2*3*5-smooth length
+of `_smooth_length`, is the package's one FFT primitive: the spectral
+module imports it from here, so the exact path loads no islkit module
+but this one and `sequences`.
+
 `aperiodic_correlation` and the energies built on it use plain sliding
 products (numpy's direct correlate, no FFT).  They are the oracle the
 FFT, spectral and asymptotic paths are checked against.
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import _real_array, check_antipodal
-from .spectral import _smooth_length, power_spectrum
 
 
 # Largest distance from its integer at which an FFT correlation value
@@ -70,6 +74,10 @@ def aperiodic_correlation(a, b) -> np.ndarray:
     """Aperiodic cross-correlation X(k) = sum_j a_j * b_{j+k} over lags
     k = -n+1 .. n-1; lag k sits at index k + n - 1 of the 2n-1 values."""
     a, b = _real_array(a, "sequence"), _real_array(b, "sequence")
+    for x in (a, b):
+        if x.ndim != 1 or not len(x):
+            raise ValueError(
+                f"expected a non-empty one-dimensional sequence, got shape {x.shape}")
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return np.correlate(b, a, mode="full")
@@ -79,6 +87,33 @@ def cross_energy(a, b) -> float:
     """Sum of squared cross-correlations over all lags, lag 0 included."""
     v = aperiodic_correlation(a, b)
     return float(v @ v)
+
+
+def _smooth_length(k: int) -> int:
+    """Smallest integer >= k with no prime factor above 5."""
+    best = 1 << max(k - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            length = p35 << max(0, (k - 1) // p35).bit_length()
+            best = min(best, length)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def power_spectrum(rows, length: int) -> np.ndarray:
+    """|rfft(rows, length)|^2 along the last axis, bins 0 .. length // 2:
+    |Q|^2 of the zero-padded rows at exp(2 pi i k / length), squared in
+    place in the transform's output (numpy.fft, loaded on first use) and
+    returned in it, imaginary parts zero, the form irfft reads uncopied."""
+    spec = np.fft.rfft(rows, length)
+    power, imag = spec.real, spec.imag
+    np.square(power, out=power)
+    power += np.square(imag, out=imag)
+    imag.fill(0.0)
+    return spec
 
 
 # Values (rows x FFT length) per FFT round trip on the exact path: a block
@@ -100,7 +135,7 @@ def _rounded_autocorrelation(m: int, n: int, block_at):
     of length n, rounded to int64 and yielded as (p, lags) a block of
     rows p..p+B-1 at a time; block_at(p, B) returns those rows.
 
-    One FFT round trip per block (spectral.power_spectrum, then irfft) on
+    One FFT round trip per block (power_spectrum, then irfft) on
     the 2*3*5-smooth length L >= 2n-1, so no lag wraps, with B = max(1,
     min(m, _BLOCK_VALUES // L)).  The float and int64 buffers are reused
     across blocks, because a fresh output per block costs faults and peak

@@ -7,7 +7,7 @@ the sums over the n-th roots of unity (resp. their negatives) of
 2n-th roots of unity; any L >= 2n - 1 roots serve as well, since the
 2n - 1 lags of a correlation fit in a length-L transform without
 wrapping.  So a set's energies are one Gram matrix of power spectra
-(`power_spectrum`, shared with the exact path) at the same 2*3*5-smooth
+(the exact path's `correlation.power_spectrum`) at the same 2*3*5-smooth
 length L >= 2n - 1 the exact path uses, where numpy's FFT needs no
 generic radix-n pass for a prime n.  Lagrange interpolation from the
 n-th roots to their negatives is one circulant convolution, taken
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import _smooth_length, power_spectrum
 from .sequences import _real_array, _require_odd_prime
 
 
@@ -101,33 +102,6 @@ def gf_at_roots(seq) -> np.ndarray:
     return a.shape[-1] * np.fft.ifft(a.astype(np.result_type(a, np.float64), copy=False))
 
 
-def _smooth_length(k: int) -> int:
-    """Smallest integer >= k with no prime factor above 5."""
-    best = 1 << max(k - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            length = p35 << max(0, (k - 1) // p35).bit_length()
-            best = min(best, length)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def power_spectrum(rows, length: int) -> np.ndarray:
-    """|rfft(rows, length)|^2 along the last axis, bins 0 .. length // 2:
-    |Q|^2 of the zero-padded rows at exp(2 pi i k / length), squared in
-    place in the transform's output (numpy.fft, loaded on first use) and
-    returned in it, imaginary parts zero, the form irfft reads uncopied."""
-    spec = np.fft.rfft(rows, length)
-    power, imag = spec.real, spec.imag
-    np.square(power, out=power)
-    power += np.square(imag, out=imag)
-    imag.fill(0.0)
-    return spec
-
-
 def legendre_gf_closed_form(n: int, j, ell_j):
     """Closed-form generating-function value of the Legendre sequence at
     the j-th root of unity (quadratic Gauss sum plus the fixed 0th term),
@@ -194,10 +168,12 @@ def _index_quads(quads, n: int) -> np.ndarray:
     # a (K, 4) int64 array of index quadruples, reduced mod the odd length n;
     # operator.index: a float n raises TypeError, as in is_prime
     _require_odd(operator.index(n))
-    quads = np.asarray(quads, dtype=np.int64)
+    quads = np.asarray(quads)
     if quads.ndim != 2 or quads.shape[1] != 4:
         raise ValueError(f"expected a (K, 4) array of index quadruples, got shape {quads.shape}")
-    return quads % n
+    if quads.dtype.kind not in "iu":  # an int64 cast would truncate 0.5 to index 0
+        raise ValueError(f"index quadruples must be integers, got dtype {quads.dtype}")
+    return quads.astype(np.int64, copy=False) % n
 
 
 def kernel_sums_direct(quads, n: int) -> np.ndarray:

@@ -100,12 +100,13 @@ class TestIsl:
                 out[bump] += 1.0
                 return out
 
-            monkeypatch.setattr(cli, "energy_matrix_spectral", corrupted)
+            monkeypatch.setattr(islkit.spectral, "energy_matrix_spectral", corrupted)
             code, _, err = run(capsys, "isl", "--n", "7", "--fractions", "0", "0.5", "0.25")
             assert code == 2
             assert "cross-check" in err and name in err
         # a NaN is the worst error, not one that compares as small
-        monkeypatch.setattr(cli, "energy_matrix_spectral", lambda rows: energies(rows) * np.nan)
+        monkeypatch.setattr(islkit.spectral, "energy_matrix_spectral",
+                            lambda rows: energies(rows) * np.nan)
         code, lines, err = run(capsys, "isl", "--n", "101", "--fractions", "0.1", "0.3")
         assert code == 2
         assert lines == []
@@ -118,7 +119,7 @@ class TestIsl:
         # both paths read |Q|^2 from the one primitive; scaled by 2 there,
         # the exact energies become 4E + 3n^2 and the spectral ones 4E, so
         # the cross-check still tells the two paths apart
-        true_fn = islkit.spectral.power_spectrum
+        true_fn = islkit.correlation.power_spectrum
         for module in (islkit.spectral, islkit.correlation):
             monkeypatch.setattr(module, "power_spectrum",
                                 lambda rows, length: true_fn(rows, length) * factor)

@@ -20,6 +20,16 @@ from islkit.correlation import (
 from islkit.sequences import legendre_sequence, primes_in_range
 
 
+# every oracle entry point, with one bad sequence in either slot
+ONE_BAD_SEQUENCE = [
+    lambda s: aperiodic_correlation(s, [1, 1, 1]),
+    lambda s: aperiodic_correlation([1, 1, 1], s),
+    lambda s: cross_energy(s, [1, 1, 1]),
+    lambda s: cross_energy([1, 1, 1], s),
+    periodic_autocorrelation,
+]
+
+
 def xcorr_loop(a, b):
     """Literal double-loop oracle for the aperiodic correlation."""
     n = len(a)
@@ -78,13 +88,16 @@ class TestAperiodicCorrelation:
         with pytest.raises(ValueError):
             aperiodic_correlation([1, 1], [1, 1, -1])
 
-    @pytest.mark.parametrize("call", [
-        lambda s: aperiodic_correlation(s, [1, 1, 1]),
-        lambda s: aperiodic_correlation([1, 1, 1], s),
-        lambda s: cross_energy(s, [1, 1, 1]),
-        lambda s: cross_energy([1, 1, 1], s),
-        periodic_autocorrelation,
-    ])
+    @pytest.mark.parametrize("call", ONE_BAD_SEQUENCE)
+    @pytest.mark.parametrize("seq,shape", [(np.ones((2, 3)), r"\(2, 3\)"), ([], r"\(0,\)"),
+                                           (1.0, r"\(\)")])
+    def test_bad_shape_named(self, call, seq, shape):
+        # not numpy's "object too deep" or "cannot be empty": the shape
+        with pytest.raises(ValueError, match="non-empty one-dimensional sequence, got shape "
+                                             + shape):
+            call(seq)
+
+    @pytest.mark.parametrize("call", ONE_BAD_SEQUENCE)
     @pytest.mark.parametrize("complex_seq", [np.array([1 + 5j, 1, 1]), [1 + 5j, 1, 1]])
     def test_complex_input_rejected(self, call, complex_seq):
         # a float64 cast would keep only the real part, with a ComplexWarning

@@ -61,6 +61,32 @@ def test_optimizer_loads_without_numpy():
                  + LOADED.format(names={"numpy"})) == []
 
 
+EXACT = {"numpy", "islkit.correlation", "islkit.sequences"}
+SPECTRAL = {"islkit.asymptotic", "islkit.selfcheck", "islkit.spectral"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    # the exact path: sequences and correlation only
+    ("isl --n 1009 --fractions 0 0.5", EXACT),
+    ("gen --n 1009 --fraction 0.25", EXACT),
+    # decimal comes with fractions, only for a p/q token
+    ("isl --n 1009 --fractions 1/4 0.5", EXACT | {"decimal", "fractions"}),
+    ("sweep --fractions 0 0.25 --n-min 23 --n-max 60", EXACT | {"islkit.asymptotic"}),
+    ("sweep --optimal --m 2 --n-min 23 --n-max 60",
+     EXACT | {"islkit.asymptotic", "islkit.optimize"}),
+    ("optimize --m 5", EXACT | {"islkit.optimize"}),
+    ("asym --fractions 0.1 0.2", EXACT | {"islkit.asymptotic"}),
+    # the cross-check at n <= 199 and validate load the spectral layers
+    ("isl --n 101 --fractions 0 0.5", EXACT | SPECTRAL),
+    ("validate --max-n 7", EXACT | SPECTRAL),
+])
+def test_each_command_loads_only_its_layers(argv, loaded):
+    watched = {"numpy", "fractions", "decimal",
+               *(f"islkit.{m}" for m in (*COMPUTE_MODULES, "selfcheck"))}
+    assert fresh(f"import islkit.cli; islkit.cli.main({argv.split()!r}); "
+                 + LOADED.format(names=watched)) == sorted(loaded)
+
+
 def test_star_import_binds_exactly_all():
     bound = fresh("before = set(globals()) | {'before'}\n"
                   "from islkit import *\n"
@@ -140,7 +166,7 @@ def test_optimize_imports_only_asymptotic():
 
 def test_one_caller_per_fft():
     # one power-spectrum primitive under the exact and spectral paths:
-    # rfft only in spectral.power_spectrum, its inverse only in the row
+    # rfft only in correlation.power_spectrum, its inverse only in the row
     # routine both exact paths share, the complex transform only in
     # gf_at_roots; every module of the package is walked, and numpy.fft
     # is named nowhere else, not even as a bare reference
@@ -157,10 +183,10 @@ def test_one_caller_per_fft():
                 if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
                         and node.value.attr == "fft"):
                     callers.setdefault(node.attr, set()).add(where)
-    assert callers == {"rfft": {"spectral.power_spectrum"},
+    assert callers == {"rfft": {"correlation.power_spectrum"},
                        "irfft": {"correlation._rounded_autocorrelation"},
                        "ifft": {"spectral.gf_at_roots"}}
-    assert named == {"spectral.power_spectrum", "correlation._rounded_autocorrelation",
+    assert named == {"correlation.power_spectrum", "correlation._rounded_autocorrelation",
                      "spectral.gf_at_roots"}
 
 

@@ -481,6 +481,14 @@ class TestKernelSums:
             with pytest.raises(ValueError, match=r"\(K, 4\) array of index quadruples, got shape"):
                 fn(quads, 7)
 
+    @pytest.mark.parametrize("fn", [kernel_sums_direct, kernel_sums_closed_form])
+    def test_non_integer_indices_rejected(self, fn):
+        # an int64 cast would read (0.5, 0, 1, 1) as (0, 0, 1, 1)
+        for quads in ([(0.5, 0, 1, 1)], np.zeros((2, 4)), np.ones((1, 4), dtype=bool)):
+            with pytest.raises(ValueError, match="index quadruples must be integers, got dtype"):
+                fn(quads, 7)
+        assert fn(np.array([(0, 0, 1, 1)], dtype=np.int32), 7) == fn([(0, 0, 1, 1)], 7)
+
 
 class TestPatternDecomposition:
     def test_reconstruction_matches_direct(self):
