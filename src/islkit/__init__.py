@@ -19,7 +19,7 @@ _EXPORTS = {
                     "isl_report", "isl_totals", "periodic_autocorrelation"),
     "optimize": ("OptResult", "optimize_rotations"),
     "sequences": ("RotationSet", "bind_rotations", "is_prime", "legendre_sequence",
-                  "primes_in_range", "rotate_left"),
+                  "primes_in_range"),
     "spectral": ("PatternSums", "energy_matrix_spectral", "gf_at_roots", "gf_eval",
                  "interpolate_negated_root", "legendre_gf_closed_form",
                  "pattern_decomposition", "power_sum_at_negated_roots", "roots_of_unity"),

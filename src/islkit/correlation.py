@@ -3,13 +3,13 @@
 One row engine, `_rounded_autocorrelation`, serves the exact ISL: it
 rounds FFT autocorrelations to integers, one round trip per block of
 rows, and checks that no value sat 0.25 or more from its integer: exact
-by check, not by assumption.  Both entry points fold its blocks.
-`isl_totals` adds each block into a running column sum and the row
-norms and drops it, so it prints every total of a rotation set in
-O(M n log n) time and O(n) memory.  `isl_report` copies each block into
-the autocorrelation matrix R and takes every auto and cross energy from
-it as one int64 matrix product, in O(M n log n + M^2 n) time and O(M n)
-memory.
+by check, not by assumption.  Both entry points hand it an array and the
+indices of their rows in it, and fold its blocks.  `isl_totals` adds
+each block into a running column sum and the row norms and drops it, so
+it prints every total of a rotation set in O(M n log n) time and O(n)
+memory.  `isl_report` copies each block into the autocorrelation matrix
+R and takes every auto and cross energy from it as one int64 matrix
+product, in O(M n log n + M^2 n) time and O(M n) memory.
 
 The engine's forward half, `power_spectrum` at the 2*3*5-smooth length
 of `_smooth_length`, is the package's one FFT primitive: the spectral
@@ -24,12 +24,11 @@ FFT, spectral and asymptotic paths are checked against.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _real_array, check_antipodal
+from .sequences import _real_array, _rotations, check_antipodal
 
 
 # Largest distance from its integer at which an FFT correlation value
@@ -121,8 +120,8 @@ def power_spectrum(rows, length: int) -> np.ndarray:
 # one power_spectrum, one irfft and one rint, which at a sweep's small n
 # cost less than the ~25 numpy calls a row pays on its own.  Where B > 1
 # the float buffer and its spectrum hold at most 2^14 values (128 KB)
-# each, the gathered rows, their index and the rounded lags at most
-# 64 KB each: under 0.5 MB in all.  Past L = 2^13 (n > 4096) every block
+# each, the gathered rows and the rounded lags at most 64 KB each:
+# under 0.5 MB in all.  Past L = 2^13 (n > 4096) every block
 # is one row, as at n ~ 20 000 and n ~ 10^6, with O(n) buffers.  A budget
 # of 2^16 made 8 rows at n = 12007 ~30% slower per call than one row at a
 # time: buffers that large fault in fresh pages on every call (~1.2k
@@ -130,26 +129,30 @@ def power_spectrum(rows, length: int) -> np.ndarray:
 _BLOCK_VALUES = 1 << 14
 
 
-def _rounded_autocorrelation(m: int, n: int, block_at):
-    """Lags 0..n-1 of the aperiodic autocorrelations of m antipodal rows
-    of length n, rounded to int64 and yielded as (p, lags) a block of
-    rows p..p+B-1 at a time; block_at(p, B) returns those rows.
+def _rounded_autocorrelation(rows: np.ndarray, starts: np.ndarray):
+    """Lags 0..n-1 of the aperiodic autocorrelations of the m antipodal
+    rows rows[starts[p]] of length n, rounded to int64 and yielded as
+    (p, lags) a block of rows p..p+B-1 at a time.
 
     One FFT round trip per block (power_spectrum, then irfft) on
     the 2*3*5-smooth length L >= 2n-1, so no lag wraps, with B = max(1,
-    min(m, _BLOCK_VALUES // L)).  The float and int64 buffers are reused
-    across blocks, because a fresh output per block costs faults and peak
-    memory: each yielded lags is a view that the next block overwrites.
+    min(m, _BLOCK_VALUES // L)); a larger block is one gather, a one-row
+    block the view rows[s:s + 1] (at n ~ 10^6 a gathered row takes 8 MB).
+    The float and int64 buffers are reused across blocks, because a fresh
+    output per block costs faults and peak memory: each yielded lags is a
+    view that the next block overwrites.
     Raises RoundingResidualError, naming the first failing row, if a value
     is not within MAX_ROUNDING_RESIDUAL of an integer.
     """
+    m, n = len(starts), rows.shape[1]
     length = _smooth_length(2 * n - 1)
     block = max(1, min(m, _BLOCK_VALUES // length))
     corr = np.empty((block, length))
     buf = np.empty((block, n), dtype=np.int64)
     for p in range(0, m, block):
         b = min(block, m - p)
-        lags = np.fft.irfft(power_spectrum(block_at(p, b), length), length, out=corr[:b])[:, :n]
+        block_rows = rows[starts[p]:starts[p] + 1] if b == 1 else rows[starts[p:p + b]]
+        lags = np.fft.irfft(power_spectrum(block_rows, length), length, out=corr[:b])[:, :n]
         out = buf[:b]
         with np.errstate(invalid="ignore"):  # a NaN fails the residual check
             np.rint(lags, out=out, casting="unsafe")
@@ -188,10 +191,10 @@ def isl_totals(base, offsets) -> IslTotals:
     2 |sum_p r_p|^2 - M^2 n^2 (the paper's circle sum over the 2n-th
     roots, read in the lag domain); the total drops the M mainlobes n^2,
     and the auto term of row p is 2 |r_p|^2 - 2 n^2.  So the engine's
-    blocks of rows, read from the doubled base checked for +-1 once, are
-    folded into an int64 column sum and their norms, and dropped: no
-    (M, n) array is formed.  Offsets may be any integers, taken mod n.
-    Raises RoundingResidualError as isl_report does.
+    blocks of rows, read from the base's windows (sequences._rotations)
+    after one +-1 check, are folded into an int64 column sum and their
+    norms, and dropped: no (M, n) array is formed.  Offsets follow the
+    row rule of _rotations.  Raises RoundingResidualError as isl_report does.
     """
     base = check_antipodal(base)
     if base.ndim != 1:
@@ -203,22 +206,11 @@ def isl_totals(base, offsets) -> IslTotals:
         # every column sum lies within m n, and its square must fit int64
         raise ValueError(f"{m} rotations of length {n}: need 1 <= m <= "
                          f"{math.isqrt(_INT64_MAX) // n}")
-    try:
-        starts = np.array([operator.index(t) % n for t in offsets], dtype=np.int64)
-    except TypeError as exc:  # a float offset names no rotation
-        raise ValueError(f"offsets must be integers: {exc}") from None
-    doubled = np.concatenate([base, base], dtype=np.float64)  # exact; rfft casts no row
-
-    # a one-row block is a view and adds its row uncopied: at n ~ 10^6 a
-    # gathered row and its index take 16 MB, a row sum 8 MB more
-    def block_at(p, b):
-        if b == 1:
-            return doubled[None, starts[p]:starts[p] + n]
-        return doubled[starts[p:p + b, None] + np.arange(n)]
-
+    windows, starts = _rotations(base, offsets, np.float64)  # exact; rfft casts no row
     colsum = np.zeros(n, dtype=np.int64)
     norms = np.empty(m, dtype=np.int64)
-    for p, lags in _rounded_autocorrelation(m, n, block_at):
+    for p, lags in _rounded_autocorrelation(windows, starts):
+        # a one-row block adds its row uncopied: a row sum takes 8 MB at n ~ 10^6
         colsum += lags[0] if len(lags) == 1 else lags.sum(axis=0)
         np.einsum("ij,ij->i", lags, lags, out=norms[p:p + len(lags)])
     # |r_p(k)| <= n - k, so 2 |r_p|^2 <= n (n + 1) (2n + 1) / 3 < 2^63
@@ -245,7 +237,7 @@ def isl_report(seqs) -> IslReport:
     if n > MAX_EXACT_N:
         raise ValueError(f"n={n} exceeds {MAX_EXACT_N}, beyond which energies overflow int64")
     autocorr = np.empty((m, n), dtype=np.int64)
-    for p, lags in _rounded_autocorrelation(m, n, lambda p, b: seqs[p:p + b]):
+    for p, lags in _rounded_autocorrelation(seqs, np.arange(m)):
         autocorr[p:p + len(lags)] = lags
     energy = 2 * (autocorr @ autocorr.T) - n * n
     auto = energy.diagonal() - n * n

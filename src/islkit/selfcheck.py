@@ -15,7 +15,7 @@ import numpy as np
 from . import spectral
 from .asymptotic import re_dilog_on_circle
 from .correlation import cross_energy, periodic_autocorrelation
-from .sequences import legendre_sequence, primes_in_range, rotate_left
+from .sequences import _rotations, legendre_sequence, primes_in_range
 
 
 @dataclass(frozen=True)
@@ -295,8 +295,8 @@ def check_pattern_decomposition(max_n: int, rng) -> CheckResult:
             base = legendre_sequence(n)
             for _ in range(2):
                 ta, tb = rng.integers(0, n, size=2)
-                a = rotate_left(base, int(ta))
-                b = rotate_left(base, int(tb))
+                windows, starts = _rotations(base, (ta, tb), np.float64)
+                a, b = windows[starts]
                 direct = spectral.power_sum_at_negated_roots(a, b)
                 recon = spectral.pattern_decomposition(a, b).negated_power_sum
                 # np.maximum, not max: max(1.0, nan) drops the NaN

@@ -66,11 +66,24 @@ def legendre_sequence(n: int) -> np.ndarray:
 
 
 def rotate_left(seq: np.ndarray, t: int) -> np.ndarray:
-    """Cyclic left rotation: out[j] = seq[(j + t) mod n]. Negative t allowed."""
+    """Cyclic left rotation: out[j] = seq[(j + t) mod n], any integer t; twin of _rotations."""
     seq = np.asarray(seq)
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
     return np.roll(seq, -(t % len(seq)))
+
+
+def _rotations(base: np.ndarray, offsets, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only windows of the doubled base in dtype, row s the base rotated
+    left by s, and the offsets mod n as int64 starts: row p of a set is
+    windows[starts[p]].  A non-integer offset raises ValueError."""
+    n = len(base)
+    try:
+        starts = np.array([operator.index(t) % n for t in offsets], dtype=np.int64)
+    except TypeError as exc:  # a float offset names no rotation
+        raise ValueError(f"offsets must be integers: {exc}") from None
+    doubled = np.concatenate([base, base], dtype=dtype)
+    return np.lib.stride_tricks.sliding_window_view(doubled, n), starts
 
 
 def check_antipodal(seq) -> np.ndarray:
@@ -116,10 +129,9 @@ class RotationSet:
     n: int
 
     def sequences(self) -> np.ndarray:
-        """(M, n) int64 array, row p the Legendre sequence rotated left by offsets[p]."""
-        base = legendre_sequence(self.n)
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([base, base]), self.n)
-        return windows[list(self.offsets)]
+        """(M, n) int64 array, row p the Legendre sequence rotated left by offsets[p] mod n."""
+        windows, starts = _rotations(legendre_sequence(self.n), self.offsets, np.int64)
+        return windows[starts]
 
 
 def bind_rotations(fractions, n: int) -> RotationSet:

@@ -51,6 +51,14 @@ def _odd_length(x: np.ndarray) -> int:
     return len(x)
 
 
+def _integers(x, what: str) -> np.ndarray:
+    # an int64 cast would truncate 0.5 to index 0, and 0.5 % n is no root index
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {x.dtype}")
+    return x
+
+
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:
     a, b = _real_array(a, "sequence"), _real_array(b, "sequence")
     if a.shape != b.shape:
@@ -82,6 +90,8 @@ def gf_eval(seq, z):
     along the row by _row_sums.  The direct twin of the FFT and
     interpolation routes."""
     seq = np.asarray(seq)
+    if seq.ndim != 1:
+        raise ValueError(f"expected a one-dimensional sequence, got shape {seq.shape}")
     z = np.asarray(z)
     points = z.reshape(-1).astype(np.result_type(z, seq))
 
@@ -112,7 +122,8 @@ def legendre_gf_closed_form(n: int, j, ell_j):
     """
     _require_odd_prime(n)
     offset = np.sqrt(n) if n % 4 == 1 else 1j * np.sqrt(n)
-    values = np.where(np.asarray(j) % n == 0, 1.0 + 0.0j, 1.0 + np.asarray(ell_j) * offset)
+    values = np.where(_integers(j, "root indices") % n == 0, 1.0 + 0.0j,
+                      1.0 + np.asarray(ell_j) * offset)
     return values[()]
 
 
@@ -141,7 +152,7 @@ def interpolate_negated_root(at_roots, j):
     n = _odd_length(at_roots)
     coeffs = np.conj(gf_at_roots(np.conj(at_roots))) / n
     values = gf_at_roots((-1.0) ** np.arange(n) * coeffs)
-    return values[np.asarray(j) % n]
+    return values[_integers(j, "root indices") % n]
 
 
 def energy_matrix_spectral(rows) -> np.ndarray:
@@ -171,9 +182,7 @@ def _index_quads(quads, n: int) -> np.ndarray:
     quads = np.asarray(quads)
     if quads.ndim != 2 or quads.shape[1] != 4:
         raise ValueError(f"expected a (K, 4) array of index quadruples, got shape {quads.shape}")
-    if quads.dtype.kind not in "iu":  # an int64 cast would truncate 0.5 to index 0
-        raise ValueError(f"index quadruples must be integers, got dtype {quads.dtype}")
-    return quads.astype(np.int64, copy=False) % n
+    return _integers(quads, "index quadruples").astype(np.int64, copy=False) % n
 
 
 def kernel_sums_direct(quads, n: int) -> np.ndarray:

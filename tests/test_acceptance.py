@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import islkit as ik
+from islkit.sequences import rotate_left
 
 SEED = 20240901
 
@@ -68,8 +69,8 @@ def test_criterion_03_pattern_reconstruction():
     for n in ik.primes_in_range(3, 61):
         base = ik.legendre_sequence(n)
         for _ in range(3):
-            a = ik.rotate_left(base, int(rng.integers(0, n)))
-            b = ik.rotate_left(base, int(rng.integers(0, n)))
+            a = rotate_left(base, int(rng.integers(0, n)))
+            b = rotate_left(base, int(rng.integers(0, n)))
             direct = ik.power_sum_at_negated_roots(a, b)
             recon = ik.pattern_decomposition(a, b).negated_power_sum
             assert abs(recon.real - direct) <= 1e-6 * direct, n

@@ -22,7 +22,7 @@ PUBLIC = {
     "isl_report", "isl_totals", "legendre_gf_closed_form", "legendre_sequence",
     "optimize_rotations", "pattern_decomposition", "periodic_autocorrelation",
     "power_sum_at_negated_roots", "primes_in_range", "re_dilog_on_circle",
-    "roots_of_unity", "rotate_left",
+    "roots_of_unity",
 }
 
 
@@ -32,7 +32,7 @@ def test_all_is_sorted_and_resolves():
     for name in islkit.__all__:
         assert hasattr(islkit, name), name
     assert set(islkit.__all__) == PUBLIC
-    assert len(PUBLIC) == 27
+    assert len(PUBLIC) == 26
 
 
 COMPUTE_MODULES = ("asymptotic", "correlation", "optimize", "sequences", "spectral")
@@ -188,6 +188,61 @@ def test_one_caller_per_fft():
                        "ifft": {"spectral.gf_at_roots"}}
     assert named == {"correlation.power_spectrum", "correlation._rounded_autocorrelation",
                      "spectral.gf_at_roots"}
+
+
+def names_by_function() -> set[tuple[str, str]]:
+    """(module.function, name) for every identifier, attribute and imported
+    name in the package, under the innermost function that names it."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        if name:
+            found.add((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(pathlib.Path(islkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return found
+
+
+def test_one_row_builder():
+    # the row rule (windows of the doubled base, offsets taken mod n) is
+    # written once, in sequences._rotations; the exact engine reads rows by
+    # index, and np.roll's rotate_left is left to the tests as its twin
+    found = names_by_function()
+
+    def naming(name):
+        return {where for where, named in found if named == name}
+
+    assert naming("sliding_window_view") == {"sequences._rotations"}
+    assert naming("rotate_left") == set()
+    assert "rotate_left" not in islkit.__all__
+    assert callable(importlib.import_module("islkit.sequences").rotate_left)
+    # every row path goes through it: RotationSet.sequences() (the rows of
+    # gen and of isl_report in the cross-check), isl_totals, the pattern check
+    assert {where for where in naming("_rotations") if not where.endswith("<module>")} \
+        == {"sequences.sequences", "correlation.isl_totals", "selfcheck.batches"}
+    # no callable reaches the engine: it calls none of its parameters, and
+    # no caller hands it a lambda or a nested function
+    tree = ast.parse(inspect.getsource(islkit.correlation))
+    engine = next(node for node in tree.body
+                  if getattr(node, "name", None) == "_rounded_autocorrelation")
+    params = {arg.arg for arg in engine.args.args}
+    assert params == {"rows", "starts"}
+    called = {node.func.id for node in ast.walk(engine)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not params & called
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Lambda)
+        if isinstance(node, ast.FunctionDef):
+            assert not any(isinstance(inner, ast.FunctionDef)
+                           for inner in ast.walk(node) if inner is not node), node.name
 
 
 def test_report_is_the_totals_plus_its_pairs():

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from islkit.asymptotic import isl_limit
+from islkit.correlation import isl_report, isl_totals
 from islkit.spectral import legendre_gf_closed_form
 from islkit.sequences import (
+    RotationSet,
     bind_rotations,
     check_antipodal,
     is_prime,
@@ -263,6 +265,30 @@ class TestBindRotations:
         assert seqs.shape == (len(fractions), n) and seqs.dtype == np.int64
         for row, t in zip(seqs, rs.offsets):
             assert np.array_equal(row, rotate_left(legendre_sequence(n), t))
+
+
+class TestRotationSetOffsets:
+    # one row rule for RotationSet.sequences() and isl_totals: any integer
+    # offset, taken mod n
+    @pytest.mark.parametrize("n", [3, 7, 101])
+    def test_rows_are_rotations_for_any_integer_offset(self, n):
+        offsets = (-1, -2, n, n + 1, 3 * n + 2)
+        seqs = RotationSet(offsets, n).sequences()
+        assert seqs.shape == (len(offsets), n) and seqs.dtype == np.int64
+        for row, t in zip(seqs, offsets):
+            assert np.array_equal(row, rotate_left(legendre_sequence(n), t))
+
+    @pytest.mark.parametrize("n", [7, 101])
+    def test_report_of_the_rows_gives_the_streamed_totals(self, n):
+        offsets = (-1, -2, n, n + 1, 3 * n + 2, -1, 2 * n - 1)  # duplicates included
+        report = isl_report(RotationSet(offsets, n).sequences())
+        totals = isl_totals(legendre_sequence(n), offsets)
+        assert (report.total, report.normalized) == (totals.total, totals.normalized)
+        assert np.array_equal(report.auto_terms, totals.auto_terms)
+
+    def test_non_integer_offset_rejected(self):
+        with pytest.raises(ValueError, match="offsets must be integers"):
+            RotationSet((0, 0.5), 7).sequences()
 
 
 @pytest.mark.parametrize("f, ok", [

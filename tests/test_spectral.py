@@ -59,6 +59,10 @@ class TestGfEval:
                 want = sum(c * z**k for k, c in enumerate(seq.tolist()))
                 assert abs(gf_eval(seq, z) - want) <= 1e-12 * max(1.0, abs(z)) ** n * n
 
+    def test_multi_axis_sequence_rejected(self):
+        with pytest.raises(ValueError, match=r"one-dimensional sequence, got shape \(2, 3\)"):
+            gf_eval(np.ones((2, 3)), 1.0)
+
     def test_array_points_match_scalar_points(self):
         rng = np.random.default_rng(17)
         seq = rng.normal(size=11)
@@ -147,6 +151,13 @@ class TestLegendreGfClosedForm:
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):
             legendre_gf_closed_form(9, 1, 1)
+
+    def test_non_integer_root_index_rejected(self):
+        # 0.5 % 7 != 0 would give 1 + sqrt(7) i, a value at no root of unity
+        for j in (0.5, np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="root indices must be integers, got dtype float"):
+                legendre_gf_closed_form(7, j, 1)
+        assert legendre_gf_closed_form(7, np.int32(3), -1) == legendre_gf_closed_form(7, 3, -1)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 13, 101])
     def test_array_of_j_matches_scalar_j(self, n):
@@ -295,6 +306,12 @@ class TestInterpolateNegatedRoot:
     def test_two_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match=r"one-dimensional sequence, got shape \(3, 5\)"):
             interpolate_negated_root(np.ones((3, 5)), 0)
+
+    def test_non_integer_root_index_rejected(self):
+        at_roots = gf_at_roots(legendre_sequence(7))
+        for j in (1.5, np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="root indices must be integers, got dtype float"):
+                interpolate_negated_root(at_roots, j)
 
     @pytest.mark.parametrize("n", [3, 9, 33, 199])
     def test_array_of_j_matches_scalar_j(self, n):
