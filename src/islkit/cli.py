@@ -44,9 +44,13 @@ SURFACE_RESOLUTION_CAP = 1000
 # 1000 fractions peaks near 53 MB RSS, and so does sweep's asymptotic
 # column.  optimize itself is closed-form and costs O(M).
 M_CAP = 1000
-# validate runs its Gauss-sum and periodic checks on every prime up to
-# --max-n, the latter with an O(n^2) correlate: --max-n 2003 takes ~0.3 s,
-# 10007 ~4.9 s (like surface at R = 1000) and 20000 ~39 s.
+# validate runs its three Legendre checks on every prime up to --max-n,
+# each prime with one build, one transform and one exact-engine round
+# trip (selfcheck.prime_checks).  In fresh processes with one BLAS thread
+# on a 2-core x86-64 host, --max-n 2003 takes ~0.3 s of CPU and 10000
+# ~1.5 s.  Time no longer sets the cap: every check's tolerance has been
+# verified up to it, and gauss-sum-magnitude's, which grows with n
+# (selfcheck._magnitude_tolerance), needs re-deriving above it.
 VALIDATE_MAX_N = 10_000
 
 

@@ -3,18 +3,23 @@
 Every closed form in the package has a direct-evaluation twin; each
 check here drives one such pair over a seeded random workload and
 reports the worst observed deviation.
+
+The seeded inputs come from `_Draws`, the stdlib Mersenne Twister
+(random.Random) behind the few numpy Generator methods the checks call:
+the same draws for a seed on every platform, and no numpy.random import.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .asymptotic import re_dilog_on_circle
-from .correlation import cross_energy, periodic_autocorrelation
+from .correlation import _rounded_autocorrelation, cross_energy
 from .sequences import _rotations, legendre_sequence, primes_in_range
 
 
@@ -27,6 +32,27 @@ class CheckResult:
     worst_input: str
 
 
+class _Worst:
+    """The worst error of one check over the batches added so far; the
+    rules are _worst_error's.  Several checks that share their inputs
+    each keep one, fed batch by batch, so no batch is held past its turn."""
+
+    def __init__(self, name: str, tolerance: float):
+        self.name, self.tolerance = name, tolerance
+        self.worst, self.where = -math.inf, ""
+
+    def add(self, errors, label) -> None:
+        errors = np.ravel(errors)
+        i = int(np.argmax(errors))  # the first NaN if there is one
+        err = float(errors[i])
+        if err > self.worst or (math.isnan(err) and not math.isnan(self.worst)):
+            self.worst, self.where = err, label(i)
+
+    def result(self) -> CheckResult:
+        return CheckResult(self.name, self.worst, self.tolerance,
+                           self.worst <= self.tolerance, self.where)
+
+
 def _worst_error(name: str, tolerance: float, batches) -> CheckResult:
     """Judge a check by its worst error over all its inputs.
 
@@ -37,14 +63,43 @@ def _worst_error(name: str, tolerance: float, batches) -> CheckResult:
     check names its first input.  A NaN error counts as the worst: the
     first NaN makes max_error NaN, fails the check and is the input named.
     """
-    worst, where = -math.inf, ""
+    worst = _Worst(name, tolerance)
     for errors, label in batches:
-        errors = np.ravel(errors)
-        i = int(np.argmax(errors))  # the first NaN if there is one
-        err = float(errors[i])
-        if err > worst or (math.isnan(err) and not math.isnan(worst)):
-            worst, where = err, label(i)
-    return CheckResult(name, worst, tolerance, worst <= tolerance, where)
+        worst.add(errors, label)
+    return worst.result()
+
+
+class _Draws:
+    """Seeded draws from random.Random(seed), the stdlib Mersenne Twister,
+    through the three numpy Generator methods the checks call.
+
+    Each call reads one randbytes block as little-endian uint64 words and
+    keeps their top 53 bits, u = word >> 11 times 2^-53, a uniform on
+    the grid k 2^-53 in [0, 1).
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def _uniforms(self, size) -> np.ndarray:
+        count = math.prod(size) if isinstance(size, tuple) else size
+        words = np.frombuffer(self._random.randbytes(8 * count), dtype="<u8")
+        return ((words >> 11) * 2.0**-53).reshape(size)
+
+    def integers(self, low: int, high: int, size) -> np.ndarray:
+        """int64 values in [low, high): low + floor(u m), m = high - low, each
+        off its share 1/m by at most 2^-53 (u m stays below m in float64)."""
+        return low + (self._uniforms(size) * (high - low)).astype(np.int64)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        return low + (high - low) * self._uniforms(size)
+
+    def permuted(self, a, axis: int) -> np.ndarray:
+        """a with each slice along axis shuffled: the order of one uniform
+        per entry (a stable sort, which on short slices is the faster)."""
+        a = np.asarray(a)
+        order = np.argsort(self._uniforms(a.shape), axis=axis, kind="stable")
+        return np.take_along_axis(a, order, axis=axis)
 
 
 # the five coincidence patterns over four distinct draws (p, q, r, s):
@@ -90,7 +145,7 @@ _SPECTRAL_VS_EXACT_TOL = 1e-9
 def check_spectral_vs_direct(max_n: int, rng) -> CheckResult:
     def batches():
         for n in range(3, max_n + 1, 2):
-            rows = rng.choice([-1, 1], (10, n))  # pairs (0, 1), (2, 3), ...
+            rows = 2 * rng.integers(0, 2, (10, n)) - 1  # pairs (0, 1), (2, 3), ...
             pairs = spectral.energy_matrix_spectral(rows)[range(0, 10, 2), range(1, 10, 2)]
             direct = np.array([cross_energy(rows[i], rows[i + 1]) for i in range(0, 10, 2)])
             yield np.abs(pairs - direct) / np.abs(direct), lambda i: f"n={n}"
@@ -109,13 +164,10 @@ def check_kernel_twin(max_n: int, rng) -> CheckResult:
 
 
 def check_gauss_sum_closed_form(max_n: int, rng) -> CheckResult:
-    def batches():
-        for n in primes_in_range(3, max_n):
-            ell = legendre_sequence(n)
-            at_roots = spectral.gf_at_roots(ell)
-            closed = spectral.legendre_gf_closed_form(n, np.arange(n), ell)
-            yield np.abs(closed - at_roots) / (1.0 + np.abs(at_roots)), lambda j: f"n={n} j={j}"
-    return _worst_error("gauss-sum-closed-form", 1e-9, batches())
+    """The closed-form Gauss sums against the transform of the Legendre
+    sequence, at every root of unity of every prime n <= max_n, relative
+    to 1 + |value|; one of the three prime_checks."""
+    return prime_checks(max_n)[0]
 
 
 EPS = float(np.finfo(np.float64).eps)
@@ -141,8 +193,9 @@ def _fft_value_error(n: int) -> float:
     return 100 * EPS * n * math.log2(4 * n)
 
 
-def check_gauss_sum_magnitude(max_n: int, rng) -> CheckResult:
-    """|Q(eps_j) - 1|^2 must equal n exactly for every j != 0.
+def _magnitude_tolerance(max_n: int) -> float:
+    """gauss-sum-magnitude's tolerance: |Q(eps_j) - 1|^2 must equal n
+    exactly for every j != 0.
 
     With z = Q(eps_j) - 1, |z| = sqrt(n), and the FFT value off by at most
     d = _fft_value_error(n), the relative error | |z + dz|^2 - n | / n is
@@ -153,23 +206,55 @@ def check_gauss_sum_magnitude(max_n: int, rng) -> CheckResult:
     off by a relative 1e-6 fails.
     """
     d = _fft_value_error(max_n)
-    tolerance = _power_of_ten_above((2 * math.sqrt(max_n) * d + d * d) / max_n + 4 * EPS)
+    return _power_of_ten_above((2 * math.sqrt(max_n) * d + d * d) / max_n + 4 * EPS)
 
-    def batches():
-        for n in primes_in_range(3, max_n):
-            offsets = spectral.gf_at_roots(legendre_sequence(n))[1:] - 1.0
-            yield np.abs(np.abs(offsets) ** 2 - n) / n, lambda i: f"n={n} j={i + 1}"
-    return _worst_error("gauss-sum-magnitude", tolerance, batches())
+
+def check_gauss_sum_magnitude(max_n: int, rng) -> CheckResult:
+    """|Q(eps_j) - 1|^2 against n at every j != 0 of every prime n <= max_n,
+    within _magnitude_tolerance(max_n); one of the three prime_checks."""
+    return prime_checks(max_n)[1]
 
 
 def check_periodic_bound(max_n: int, rng) -> CheckResult:
     """Cyclic autocorrelation of a Legendre sequence stays within 3 in
-    magnitude at every nonzero lag."""
-    def batches():
-        for n in primes_in_range(3, max_n):
-            c = periodic_autocorrelation(legendre_sequence(n))
-            yield np.abs(c), lambda i: f"n={n} k={i + 1}"
-    return _worst_error("periodic-bound", 3.0, batches())
+    magnitude at every nonzero lag, for every prime n <= max_n; one of the
+    three prime_checks.  Its values come from the exact row engine
+    (periodic_autocorrelation_exact), O(n log n) per prime."""
+    return prime_checks(max_n)[2]
+
+
+def periodic_autocorrelation_exact(seq) -> np.ndarray:
+    """Cyclic autocorrelation of one +-1 sequence at lags 1 .. n-1, as
+    int64: r(k) + r(n - k), with r the aperiodic lags that the exact row
+    engine (correlation._rounded_autocorrelation) rounds and checks.
+    correlation.periodic_autocorrelation is its np.correlate twin."""
+    row = np.asarray(seq, dtype=np.float64)[np.newaxis]
+    (_, lags), = _rounded_autocorrelation(row, np.zeros(1, dtype=np.int64))
+    return lags[0, 1:] + lags[0, :0:-1]
+
+
+def prime_checks(max_n: int) -> list[CheckResult]:
+    """gauss-sum-closed-form, gauss-sum-magnitude and periodic-bound, in
+    one pass over the primes n <= max_n.
+
+    Each prime's Legendre sequence is built once; its one gf_at_roots
+    transform feeds both Gauss-sum checks, and periodic-bound folds its
+    engine lags.  Each check keeps its own _Worst, so only one prime's
+    arrays are held at a time: O(max_n) memory.
+    """
+    closed = _Worst("gauss-sum-closed-form", 1e-9)
+    magnitude = _Worst("gauss-sum-magnitude", _magnitude_tolerance(max_n))
+    bound = _Worst("periodic-bound", 3.0)
+    for n in primes_in_range(3, max_n):
+        ell = legendre_sequence(n)
+        at_roots = spectral.gf_at_roots(ell)
+        closed_form = spectral.legendre_gf_closed_form(n, np.arange(n), ell)
+        closed.add(np.abs(closed_form - at_roots) / (1.0 + np.abs(at_roots)),
+                   lambda j: f"n={n} j={j}")
+        magnitude.add(np.abs(np.abs(at_roots[1:] - 1.0) ** 2 - n) / n,
+                      lambda i: f"n={n} j={i + 1}")
+        bound.add(np.abs(periodic_autocorrelation_exact(ell)), lambda i: f"n={n} k={i + 1}")
+    return [closed.result(), magnitude.result(), bound.result()]
 
 
 def _dilog_head(thetas: np.ndarray, terms: int) -> np.ndarray:
@@ -250,7 +335,7 @@ def check_dilog_series(rng) -> CheckResult:
 def check_lagrange_interpolation(max_n: int, rng) -> CheckResult:
     def batches():
         for n in range(3, max_n + 1, 2):
-            seq = rng.normal(size=n)
+            seq = rng.uniform(-1, 1, n)
             at_roots = spectral.gf_at_roots(seq)
             direct = spectral.gf_eval(seq, -spectral.roots_of_unity(n))
             interp = spectral.interpolate_negated_root(at_roots, np.arange(n))
@@ -309,13 +394,11 @@ def run_validation(max_n: int = 61, seed: int = 0) -> list[CheckResult]:
     """Run every cross-path check up to max_n; one result per check."""
     if max_n < 7:
         raise ValueError("max_n must be >= 7")
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     return [
         check_spectral_vs_direct(min(max_n, 199), rng),
         check_kernel_twin(min(max_n, 101), rng),
-        check_gauss_sum_closed_form(max_n, rng),
-        check_gauss_sum_magnitude(max_n, rng),
-        check_periodic_bound(max_n, rng),
+        *prime_checks(max_n),
         check_dilog_series(rng),
         check_lagrange_interpolation(min(max_n, 199), rng),
         check_pattern_decomposition(min(max_n, 61), rng),

@@ -76,8 +76,11 @@ def rotate_left(seq: np.ndarray, t: int) -> np.ndarray:
 def _rotations(base: np.ndarray, offsets, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Read-only windows of the doubled base in dtype, row s the base rotated
     left by s, and the offsets mod n as int64 starts: row p of a set is
-    windows[starts[p]].  A non-integer offset raises ValueError."""
+    windows[starts[p]].  A non-integer offset, a bool included, raises
+    ValueError."""
     n = len(base)
+    if any(isinstance(t, bool) for t in offsets):  # operator.index takes True as 1
+        raise ValueError("offsets must be integers, got a bool")
     try:
         starts = np.array([operator.index(t) % n for t in offsets], dtype=np.int64)
     except TypeError as exc:  # a float offset names no rotation

@@ -118,12 +118,18 @@ def legendre_gf_closed_form(n: int, j, ell_j):
     for a scalar j or elementwise over an array of j with matching ell_j.
 
     The sqrt(n) offset is real for n = 1 (mod 4) and imaginary for
-    n = 3 (mod 4).
+    n = 3 (mod 4).  ell_j must be a Legendre symbol, -1 or +1, wherever
+    j != 0 (mod n); at j = 0 the value is 1 whatever ell_j is.
     """
     _require_odd_prime(n)
+    at_zero = _integers(j, "root indices") % n == 0
+    ell_j = _real_array(ell_j, "Legendre symbols")
+    bad = ~((np.abs(ell_j) == 1) | at_zero)  # also true for NaN
+    if bad.any():
+        raise ValueError(f"Legendre symbols must be -1 or +1 where j != 0 (mod n), "
+                         f"got {np.broadcast_to(ell_j, bad.shape)[bad][0]}")
     offset = np.sqrt(n) if n % 4 == 1 else 1j * np.sqrt(n)
-    values = np.where(_integers(j, "root indices") % n == 0, 1.0 + 0.0j,
-                      1.0 + np.asarray(ell_j) * offset)
+    values = np.where(at_zero, 1.0 + 0.0j, 1.0 + ell_j * offset)
     return values[()]
 
 

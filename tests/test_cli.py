@@ -580,7 +580,7 @@ class TestValidate:
             (islkit.spectral, "energy_matrix_spectral", "spectral-vs-direct"),
             (islkit.spectral, "kernel_sums_closed_form", "kernel-twin"),
             (islkit.spectral, "legendre_gf_closed_form", "gauss-sum-closed-form"),
-            (islkit.selfcheck, "periodic_autocorrelation", "periodic-bound"),
+            (islkit.selfcheck, "periodic_autocorrelation_exact", "periodic-bound"),
             (islkit.selfcheck, "re_dilog_on_circle", "dilog-series"),
             (islkit.asymptotic, "_kernel", "dilog-series"),
             (islkit.spectral, "interpolate_negated_root", "lagrange-interpolation"),
@@ -615,6 +615,32 @@ class TestValidate:
         if np.isnan(factor):
             assert all("max_error=nan" in l for l in fail_lines)
 
+    def test_planted_engine_fault_fails_periodic_bound(self, capsys, monkeypatch):
+        # cyclic Legendre values are -1 (n = 3 mod 4), or 1 and -3 (n = 1
+        # mod 4), so +2 on one lag reads at most 3 and passes; -2 on lag 2
+        # at n = 13, a non-residue whose value is -3, reads -5
+        true_engine = islkit.selfcheck._rounded_autocorrelation
+
+        def planted(rows, starts):
+            for p, lags in true_engine(rows, starts):
+                if rows.shape[1] == 13:
+                    lags[:, 2] -= 2
+                yield p, lags
+
+        monkeypatch.setattr(islkit.selfcheck, "_rounded_autocorrelation", planted)
+        code, lines, err = run(capsys, "validate", "--max-n", "13")
+        assert code == 2
+        assert "failed checks: periodic-bound" in err
+        fail_lines = [l for l in lines if l.startswith("FAIL")]
+        assert len(fail_lines) == 1 and fail_lines[0].split()[1] == "periodic-bound"
+        assert "max_error=5.000e+00" in fail_lines[0]
+        assert fail_lines[0].endswith(" worst=n=13 k=2")
+
+    def test_same_seed_prints_the_same_bytes(self, capsys):
+        first = run(capsys, "validate", "--max-n", "61", "--seed", "7")
+        assert first[0] == 0
+        assert run(capsys, "validate", "--max-n", "61", "--seed", "7") == first
+
     def test_nan_gauss_sum_fails_the_magnitude_check(self, monkeypatch):
         # gf_at_roots feeds three checks, so this one is called alone
         monkeypatch.setattr(islkit.spectral, "gf_at_roots",
@@ -639,7 +665,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("max_n", ["5", str(cli.VALIDATE_MAX_N + 1), "1000000"])
     def test_max_n_out_of_range_names_the_flag(self, capsys, max_n):
-        # 10^6 would run its O(n^2) periodic check for days
+        # above the cap no tolerance has been verified
         code, lines, err = run(capsys, "validate", "--max-n", max_n)
         assert code == 1
         assert lines == []

@@ -3,7 +3,8 @@ import pytest
 
 from islkit import selfcheck, spectral
 from islkit.asymptotic import re_dilog_on_circle
-from islkit.selfcheck import _distinct_draws, dilog_series, random_quads
+from islkit.correlation import periodic_autocorrelation
+from islkit.selfcheck import _distinct_draws, _Draws, dilog_series, random_quads
 from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 
 
@@ -13,9 +14,13 @@ def _pattern(row):
 
 
 class TestRandomQuads:
+    # the draws validate makes; the subclass below runs every test on the
+    # numpy Generator, which the functions also accept
+    rng = staticmethod(_Draws)
+
     @pytest.mark.parametrize("n,count", [(5, 500), (7, 23), (101, 500)])
     def test_exact_stratification(self, n, count):
-        quads = random_quads(np.random.default_rng(1), n, count)
+        quads = random_quads(self.rng(1), n, count)
         per = count // 5
         assert quads.shape == (5 * per, 4)
         assert quads.min() >= 0 and quads.max() < n
@@ -24,35 +29,87 @@ class TestRandomQuads:
             assert patterns.count(pattern) == per, pattern
 
     def test_all_distinct_rows_hold_four_indices(self):
-        quads = random_quads(np.random.default_rng(2), 5, 1000)
+        quads = random_quads(self.rng(2), 5, 1000)
         distinct = quads[4::5]  # each draw's rows follow the pattern order
         assert all(len(set(row)) == 4 for row in distinct.tolist())
 
     def test_same_seed_same_rows(self):
-        first = random_quads(np.random.default_rng(3), 31, 500)
-        again = random_quads(np.random.default_rng(3), 31, 500)
-        other = random_quads(np.random.default_rng(4), 31, 500)
+        first = random_quads(self.rng(3), 31, 500)
+        again = random_quads(self.rng(3), 31, 500)
+        other = random_quads(self.rng(4), 31, 500)
         assert np.array_equal(first, again)
         assert not np.array_equal(first, other)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            random_quads(np.random.default_rng(0), 4, 10)
+            random_quads(self.rng(0), 4, 10)
+
+
+class TestRandomQuadsFromNumpy(TestRandomQuads):
+    rng = staticmethod(np.random.default_rng)
 
 
 class TestDistinctDraws:
+    rng = staticmethod(_Draws)
+
     def test_rows_are_distinct_and_in_range(self):
-        draws = _distinct_draws(np.random.default_rng(5), 6, 2000, 4)
+        draws = _distinct_draws(self.rng(5), 6, 2000, 4)
         assert draws.min() >= 0 and draws.max() < 6
         assert all(len(set(row)) == 4 for row in draws.tolist())
 
     def test_uniform_over_ordered_tuples(self):
         # 5 * 4 = 20 ordered pairs, 20 000 draws: each near 1000
-        draws = _distinct_draws(np.random.default_rng(6), 5, 20_000, 2)
+        draws = _distinct_draws(self.rng(6), 5, 20_000, 2)
         counts = np.bincount(draws[:, 0] * 5 + draws[:, 1], minlength=25)
         taken = counts[counts > 0]
         assert len(taken) == 20
         assert np.all(np.abs(taken - 1000) < 150)
+
+
+class TestDistinctDrawsFromNumpy(TestDistinctDraws):
+    rng = staticmethod(np.random.default_rng)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    def test_uniform_and_integers_stay_in_range(self, seed):
+        draws = _Draws(seed)
+        u = draws.uniform(-1, 1, 100_000)
+        assert u.min() >= -1 and u.max() < 1 and abs(u.mean()) < 0.01
+        for high in (1, 2, 7, 10**6, 2**53 - 1):
+            k = draws.integers(0, high, (50, 200))
+            assert k.shape == (50, 200) and k.dtype == np.int64
+            assert k.min() >= 0 and k.max() < high
+        assert set(draws.integers(3, 10, 2000).tolist()) == set(range(3, 10))
+
+    @pytest.mark.parametrize("high", [1, 3, 7, 10**6 + 3, 2**52 + 1, 2**53 - 1])
+    def test_largest_uniform_stays_below_high(self, high, monkeypatch):
+        # u = 1 - 2^-53, the largest grid value: u * high rounds below high
+        draws = _Draws(0)
+        monkeypatch.setattr(draws, "_uniforms", lambda size: np.full(size, 1 - 2.0**-53))
+        assert draws.integers(0, high, 3).tolist() == [high - 1] * 3
+        assert draws.uniform(-1, 1, 1)[0] < 1
+
+    def test_permuted_shuffles_each_row(self):
+        rows = np.tile(np.arange(4), (3000, 1))
+        shuffled = _Draws(1).permuted(rows, axis=1)
+        assert np.array_equal(np.sort(shuffled, axis=1), rows)
+        # all 24 orders, each near 125 times
+        codes = shuffled @ 4 ** np.arange(4)
+        counts = np.unique(codes, return_counts=True)[1]
+        assert len(counts) == 24 and np.all(np.abs(counts - 125) < 50)
+
+
+class TestPeriodicFold:
+    def test_equals_its_correlate_twin(self):
+        # every prime <= 1000, and random +-1 rows of every length up to 40
+        rng = np.random.default_rng(9)
+        rows = [legendre_sequence(n) for n in primes_in_range(3, 1000)]
+        rows += [2 * rng.integers(0, 2, n) - 1 for n in range(1, 41)]
+        for row in rows:
+            got = selfcheck.periodic_autocorrelation_exact(row)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, periodic_autocorrelation(row)), len(row)
 
 
 class TestDilogSeries:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from islkit import selfcheck
 from islkit.asymptotic import isl_limit
 from islkit.correlation import isl_report, isl_totals
 from islkit.spectral import legendre_gf_closed_form
@@ -289,6 +290,21 @@ class TestRotationSetOffsets:
     def test_non_integer_offset_rejected(self):
         with pytest.raises(ValueError, match="offsets must be integers"):
             RotationSet((0, 0.5), 7).sequences()
+
+    def test_bool_offset_rejected_on_every_row_path(self):
+        # operator.index takes True as 1, so a bool would pass as the
+        # rotation by 1; bools are refused as spectral refuses bool indices
+        class BoolDraws:
+            def integers(self, low, high, size):
+                return [True, 2]
+
+        for offsets in ((True, 2), (0, False), np.array([True, False])):
+            with pytest.raises(ValueError, match="offsets must be integers"):
+                RotationSet(offsets, 7).sequences()
+            with pytest.raises(ValueError, match="offsets must be integers"):
+                isl_totals(legendre_sequence(7), offsets)
+        with pytest.raises(ValueError, match="offsets must be integers, got a bool"):
+            selfcheck.check_pattern_decomposition(7, BoolDraws())
 
 
 @pytest.mark.parametrize("f, ok", [

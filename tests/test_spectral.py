@@ -159,6 +159,15 @@ class TestLegendreGfClosedForm:
                 legendre_gf_closed_form(7, j, 1)
         assert legendre_gf_closed_form(7, np.int32(3), -1) == legendre_gf_closed_form(7, 3, -1)
 
+    @pytest.mark.parametrize("ell", [3, 0.5])
+    def test_value_that_is_no_legendre_symbol_rejected(self, ell):
+        # unchecked, (7, 1, 3) would read 1 + 7.94j, a value of no Legendre sequence
+        for j, ell_j in ((1, ell), (np.arange(7), np.full(7, ell))):
+            with pytest.raises(ValueError, match=r"Legendre symbols must be -1 or \+1"):
+                legendre_gf_closed_form(7, j, ell_j)
+        # at j = 0 the value is 1, whatever the symbol
+        assert legendre_gf_closed_form(7, 0, ell) == 1.0
+
     @pytest.mark.parametrize("n", [3, 5, 7, 13, 101])
     def test_array_of_j_matches_scalar_j(self, n):
         ell = legendre_sequence(n)
