@@ -18,22 +18,28 @@ import numpy as np
 # the exact path (gen, isl above SPECTRAL_CHECK_MAX_N, sweep's exact
 # column) needs only these two, which the argument checks and the
 # exit-code mapping read as well.
-from .correlation import MAX_EXACT_N, RoundingResidualError, isl_report, isl_totals
+from .correlation import (COLUMN_SUM_MIN_M, MAX_EXACT_N, RoundingResidualError, _legendre_totals,
+                          isl_report, isl_totals)
 from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequence,
                         primes_in_range)
 
-# isl, sweep and optimize --exact-check stream their rows
-# (correlation.isl_totals): one FFT round trip of length ~2n per block of
-# rotations, in O(n) memory, so this bound on M * sum(n) * log2(n_max),
-# summed over every odd n in range, limits their time.  On a 2-core x86-64 host with
-# one BLAS thread, fresh processes, at the bound: isl with 55 rotations
-# at n = 2399993 takes 25-26 s at ~270 MB peak RSS and 140 at n = 999983
-# 21-30 s at ~130 MB; sweeps from n = 3 reach n = 27554 with M = 1
-# (~6.6 s), 14244 with M = 4 (~5.0 s), 3106 with M = 100 (~4.6 s) and
-# 1056 with M = 1000 (~3.7 s, ~53 MB); the 8 rotations over 23..499 of
-# the README take ~0.25 s.  isl at n <= SPECTRAL_CHECK_MAX_N also builds
-# the (M, n) array and the pair matrices for its cross-checks: 1000
-# rotations at n = 199 take ~0.45 s at ~86 MB.
+# isl streams its rows (correlation.isl_totals): one FFT round trip of
+# length ~2n per block of rotations, in O(n) memory, so this bound on
+# M * sum(n) * log2(n_max), summed over every odd n in range, limits its
+# time.  On a 2-core x86-64 host with one BLAS thread, fresh processes,
+# at the bound: isl with 55 rotations at n = 2399993 takes ~20 s at
+# ~270 MB peak RSS and 140 at n = 999983 ~16 s at ~130 MB.  isl at
+# n <= SPECTRAL_CHECK_MAX_N also builds the (M, n) array and the pair
+# matrices for its cross-checks: 1000 rotations at n = 199 take ~0.4 s
+# at ~88 MB.  sweep and optimize --exact-check stream the rows too below
+# COLUMN_SUM_MIN_M rotations: from n = 3, one rotation sweeps to
+# n = 27554 in ~4 s and two to 19806 in 3.5-5 s.  From COLUMN_SUM_MIN_M
+# on they take one column sum per prime, whose cost does not grow with M
+# (see _check_exact_work): from n = 3, three rotations sweep to 16332 in
+# ~1.7 s, four to 14244 in ~1.4 s, 100 to 3106 and 1000 to 1056 in
+# ~0.3 s (~52 MB, the asymptotic column's M x M arrays); 55 rotations
+# at n = 2399993 take 0.6-0.9 s at ~230 MB; the 8 rotations over
+# 23..499 of the README take ~0.15-0.2 s.
 MAX_EXACT_WORK = 28 * 10**8
 SPECTRAL_CHECK_MAX_N = 199
 # surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
@@ -124,7 +130,11 @@ def _exact_length(n: int, m: int) -> int:
 def _check_exact_work(m: int, n_min: int, n_max: int) -> None:
     # O(1), before any sequence is built, any prime is listed or n is
     # tested; the sum runs over every odd n in range, an upper bound on
-    # the primes
+    # the primes.  It counts M on the column-sum path as well, where time
+    # no longer grows with M: a bound re-fitted to that path would admit
+    # commands that exit 1 today, such as optimize --m 1000 --exact-check
+    # 999983 of the golden corpus, and would be a second bound keyed on
+    # the path.  So every refusal stays, and that path runs far inside it.
     if n_max > MAX_EXACT_N:
         raise UsageError(f"n={n_max} exceeds {MAX_EXACT_N}, beyond which ISL energies overflow int64")
     lo, hi = max(n_min, 3) | 1, n_max - 1 + n_max % 2
@@ -186,6 +196,16 @@ def _isl_spectral_crosscheck(report, seqs) -> None:
 def _totals(rset):
     # rows are views of one doubled Legendre base, checked for +-1 once
     return isl_totals(legendre_sequence(rset.n), rset.offsets)
+
+
+def _exact_totals(fractions, primes):
+    """Exact ISL total of the rotation set at each prime, in order: from
+    its rows (isl_totals) below COLUMN_SUM_MIN_M rotations, else from one
+    fold-checked column sum per prime."""
+    rsets = (bind_rotations(fractions, n) for n in primes)
+    if len(fractions) < COLUMN_SUM_MIN_M:
+        return (_totals(rset).total for rset in rsets)
+    return _legendre_totals((legendre_sequence(rset.n), rset.offsets) for rset in rsets)
 
 
 def _crosschecked_totals(rset):
@@ -273,8 +293,8 @@ def cmd_sweep(args) -> int:
 
     asym = isl_limit(fractions).total
     lines = ["N,exact_normalized,asymptotic,relative_error"]
-    for n in primes:
-        exact = _totals(bind_rotations(fractions, n)).normalized
+    for n, total in zip(primes, _exact_totals(fractions, primes)):
+        exact = total / n**2
         rel = abs(exact - asym) / abs(asym)
         lines.append(",".join([str(n), fmt(exact), fmt(asym), fmt(rel)]))
     _emit(lines, args.output)
@@ -291,7 +311,7 @@ def cmd_optimize(args) -> int:
     if args.exact_check is not None:
         n = _exact_length(args.exact_check, args.m)
         rset = bind_rotations(result.fractions, n)
-        normalized = _totals(rset).normalized
+        normalized = next(_exact_totals(result.fractions, [n])) / n**2
         rel = abs(normalized - result.asym_value) / result.asym_value
         lines.append(
             f"exact-check N={n} offsets={','.join(map(str, rset.offsets))} "

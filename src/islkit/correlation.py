@@ -11,10 +11,21 @@ memory.  `isl_report` copies each block into the autocorrelation matrix
 R and takes every auto and cross energy from it as one int64 matrix
 product, in O(M n log n + M^2 n) time and O(M n) memory.
 
-The engine's forward half, `power_spectrum` at the 2*3*5-smooth length
-of `_smooth_length`, is the package's one FFT primitive: the spectral
-module imports it from here, so the exact path loads no islkit module
-but this one and `sequences`.
+A second engine, `_column_sums`, gives a set's total without its rows:
+the column sum of the M autocorrelations depends on the rotations only
+through how many offsets lie at or below each index, so one round trip
+on two rows per set gives it, in O(n log n) time whatever M, and
+consecutive sets share one transform.  Its values pass the same rounding
+check, and `_legendre_totals` checks each column sum of a Legendre set
+exactly against the periodic fold before summing its squares.  `sweep`
+and `optimize --exact-check` take it from COLUMN_SUM_MIN_M = 3 rotations
+on, the crossover measured at n ~ 10^6; `isl` keeps the rows, whose auto
+terms it prints.
+
+The row engine's forward half, `power_spectrum` at the 2*3*5-smooth
+length of `_smooth_length`, is the package's one power-spectrum
+primitive: the spectral module imports it from here, so the exact path
+loads no islkit module but this one and `sequences`.
 
 `aperiodic_correlation` and the energies built on it use plain sliding
 products (numpy's direct correlate, no FFT).  They are the oracle the
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _real_array, _rotations, check_antipodal
+from .sequences import _real_array, _rotations, _starts, check_antipodal
 
 
 # Largest distance from its integer at which an FFT correlation value
@@ -40,8 +51,18 @@ MAX_EXACT_N = 2_400_000
 _INT64_MAX = 2**63 - 1
 
 
+# Rotations from which sweep and optimize --exact-check take each total
+# from one column sum (_legendre_totals: two rows per prime) instead of
+# the M rows of isl_totals.  In-process at n = 999983 on a 2-core x86-64
+# host, one BLAS thread, the rows and the column sum took 0.086 and
+# 0.148 s at M = 1, 0.143 and 0.145 s at M = 2, 0.206 and 0.149 s at
+# M = 3 and 0.591 and 0.166 s at M = 8.
+COLUMN_SUM_MIN_M = 3
+
+
 class RoundingResidualError(ArithmeticError):
-    """An FFT correlation value sat too far from an integer to round."""
+    """An FFT correlation value sat too far from an integer to round, or a
+    rounded column sum broke the periodic fold."""
 
 
 @dataclass(frozen=True)
@@ -154,17 +175,100 @@ def _rounded_autocorrelation(rows: np.ndarray, starts: np.ndarray):
         block_rows = rows[starts[p]:starts[p] + 1] if b == 1 else rows[starts[p:p + b]]
         lags = np.fft.irfft(power_spectrum(block_rows, length), length, out=corr[:b])[:, :n]
         out = buf[:b]
-        with np.errstate(invalid="ignore"):  # a NaN fails the residual check
-            np.rint(lags, out=out, casting="unsafe")
-        lags -= out
-        if not max(lags.max(), -lags.min()) < MAX_ROUNDING_RESIDUAL:
-            residual = np.maximum(lags.max(axis=1), -lags.min(axis=1))  # NaN stays NaN
-            i = int(np.argmax(~(residual < MAX_ROUNDING_RESIDUAL)))
-            raise RoundingResidualError(
-                f"FFT autocorrelation of sequence {p + i} (n={n}) lies "
-                f"{residual[i]:.3g} from an integer; the limit is {MAX_ROUNDING_RESIDUAL}"
-            )
+        _rint_checked(lags, out, f"FFT autocorrelation of sequence {{}} (n={n})", range(p, p + b))
         yield p, out
+
+
+def _rint_checked(values, out, name: str, labels) -> None:
+    """Round the rows of values to int64 into out, leaving each value's
+    rounding error in values.  Raises RoundingResidualError, naming row i
+    name.format(labels[i]), at the first row with a value (or a NaN) not
+    within MAX_ROUNDING_RESIDUAL of an integer."""
+    with np.errstate(invalid="ignore"):  # a NaN fails the residual check
+        np.rint(values, out=out, casting="unsafe")
+    values -= out
+    if not max(values.max(), -values.min()) < MAX_ROUNDING_RESIDUAL:
+        residual = np.maximum(values.max(axis=1), -values.min(axis=1))  # NaN stays NaN
+        i = int(np.argmax(~(residual < MAX_ROUNDING_RESIDUAL)))
+        raise RoundingResidualError(f"{name.format(labels[i])} lies {residual[i]:.3g} "
+                                    f"from an integer; the limit is {MAX_ROUNDING_RESIDUAL}")
+
+
+def _column_sums(sets):
+    """Column sum c = sum_p r_p (int64, lags 0..n-1) of the M rotated
+    autocorrelations of each (base, offsets) set of sets, an antipodal
+    base rotated left by each offset (the rule of sequences._starts),
+    yielded in order as (base, M, c) without forming a row.
+
+    Row p is the window b[t_p : t_p + n] of the doubled base, so
+    c(k) = sum_i b_i b_{i+k} [G(i) - G(i + k - n)] with G(x) = #{p : t_p <= x}
+    (0 below 0, M from n on).  Split at the seam, that is
+    c(k) = a(k) - a(n - k) + M r(k), where r is the base's aperiodic
+    autocorrelation, a(k) = X(k) - X(-k) and X(k) = sum_i u_i b_{i+k} with
+    u = b G.  r is even and a odd, so one inverse transform of
+    M |B|^2 + conj(U) B - U conj(B) gives w = M r + a, and
+    c(k) = w(k) - (w(n - k) - w(k - n)) / 2: two rows per set, whatever M.
+    Consecutive sets share one rfft and one irfft at the smooth length L
+    of the longest, while 2 x sets x L stays within _BLOCK_VALUES.
+    Raises RoundingResidualError, naming n, as isl_totals does.
+    """
+    block, length = [], 0
+    for base, offsets in sets:
+        size = _smooth_length(2 * len(base) - 1)
+        if block and 2 * (len(block) + 1) * max(length, size) > _BLOCK_VALUES:
+            yield from _column_block(block, length)
+            block, length = [], 0
+        block.append((base, _starts(offsets, len(base))))
+        length = max(length, size)
+    if block:
+        yield from _column_block(block, length)
+
+
+def _column_block(block, length: int):
+    """_column_sums of one block of (base, starts) sets, all transformed
+    at the one smooth length given."""
+    ns = [len(base) for base, _ in block]
+    rows = np.zeros((len(block), 2, max(ns)))
+    for j, (base, starts) in enumerate(block):
+        rows[j, 0, :ns[j]] = base
+        np.multiply(base, np.bincount(starts, minlength=ns[j]).cumsum(), out=rows[j, 1, :ns[j]])
+    spec = np.fft.rfft(rows, length)
+    del rows  # a generator keeps its locals: free each buffer once read
+    b, z = spec[:, 0], spec[:, 1]
+    np.conjugate(z, out=z)
+    z *= b  # conj(U) B
+    # w's spectrum, M |B|^2 + conj(U) B - U conj(B) = M |B|^2 + 2i Im(conj(U) B), in b
+    np.square(b.real, out=b.real)
+    b.real += np.square(b.imag, out=b.imag)
+    b.real *= [[len(starts)] for _, starts in block]
+    np.multiply(z.imag, 2, out=b.imag)
+    w = np.fft.irfft(b, length)
+    del spec, b, z
+    for j, n in enumerate(ns):
+        w[j, 1:n] -= (w[j, n - 1:0:-1] - w[j, length - n + 1:]) / 2
+    lags = w[:, :max(ns)]
+    out = np.empty(lags.shape, dtype=np.int64)
+    _rint_checked(lags, out, "FFT column sum of n={}", ns)
+    for j, (base, starts) in enumerate(block):
+        yield base, len(starts), out[j, :ns[j]]
+
+
+def _legendre_totals(sets):
+    """Total ISL of each (Legendre base, offsets) set of sets, in order,
+    from its column sum (_column_sums), first checked exactly by the
+    periodic fold: c(0) = M n and c(k) + c(n - k) = M P(k), P the base's
+    cyclic autocorrelation (k/n) + (-k/n) - 1, that is -1 at n = 3 mod 4
+    and 2 (k/n) - 1 at n = 1 mod 4.  Rotation is a phase at the n-th roots,
+    so the fold holds for any offsets, and it shares no code with the FFT.
+    Raises RoundingResidualError, naming n and the lag, on a mismatch."""
+    for base, m, c in _column_sums(sets):
+        n = len(base)
+        wrong = np.flatnonzero(c[1:] + c[:0:-1] != m * (base[1:] + base[:0:-1] - 1)) + 1
+        if c[0] != m * n or len(wrong):
+            k = int(wrong[0]) if c[0] == m * n else 0
+            raise RoundingResidualError(f"FFT column sum of n={n} breaks the periodic fold "
+                                        f"c(k) + c(n - k) = M P(k) at lag {k}")
+        yield _total(c, m)
 
 
 def _sum_of_squares(values: np.ndarray, bound: int) -> int:
@@ -181,6 +285,13 @@ def _sum_of_squares(values: np.ndarray, bound: int) -> int:
     padded[:len(values)] = values
     blocks = padded.reshape(-1, block)
     return sum(np.einsum("ij,ij->i", blocks, blocks).tolist())
+
+
+def _total(colsum: np.ndarray, m: int) -> int:
+    """ISL total of M rows of length n from the int64 column sum of their
+    autocorrelations, |entries| <= M n: 2 |c|^2 - (M^2 + M) n^2."""
+    n = len(colsum)
+    return 2 * _sum_of_squares(colsum, m * n) - (m * m + m) * n * n
 
 
 def isl_totals(base, offsets) -> IslTotals:
@@ -215,7 +326,7 @@ def isl_totals(base, offsets) -> IslTotals:
         np.einsum("ij,ij->i", lags, lags, out=norms[p:p + len(lags)])
     # |r_p(k)| <= n - k, so 2 |r_p|^2 <= n (n + 1) (2n + 1) / 3 < 2^63
     auto = 2 * norms - 2 * n * n
-    total = 2 * _sum_of_squares(colsum, m * n) - (m * m + m) * n * n
+    total = _total(colsum, m)
     return IslTotals(auto_terms=auto, total=total, normalized=total / n**2, n=n, m=m)
 
 

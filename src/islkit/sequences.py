@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -41,8 +43,20 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending."""
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    """All primes p with lo <= p <= hi, ascending: a segmented sieve of
+    [lo, hi] by the primes up to sqrt(hi), which a sieve of [2, sqrt(hi)]
+    finds in the same loop."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    root = math.isqrt(hi)
+    small, segment = bytearray([1]) * (root + 1), bytearray([1]) * (hi - lo + 1)
+    for p in range(2, root + 1):
+        if small[p]:
+            small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+            first = max(p * p, -(-lo // p) * p)
+            segment[first - lo::p] = bytes(len(range(first, hi + 1, p)))
+    return list(compress(range(lo, hi + 1), segment))
 
 
 def _require_odd_prime(n: int) -> None:
@@ -73,18 +87,23 @@ def rotate_left(seq: np.ndarray, t: int) -> np.ndarray:
     return np.roll(seq, -(t % len(seq)))
 
 
-def _rotations(base: np.ndarray, offsets, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only windows of the doubled base in dtype, row s the base rotated
-    left by s, and the offsets mod n as int64 starts: row p of a set is
-    windows[starts[p]].  A non-integer offset, a bool included, raises
-    ValueError."""
-    n = len(base)
+def _starts(offsets, n: int) -> np.ndarray:
+    """The offsets mod n as int64: row p of a set is the base rotated left
+    by starts[p].  A non-integer offset, a bool included, raises ValueError."""
     if any(isinstance(t, bool) for t in offsets):  # operator.index takes True as 1
         raise ValueError("offsets must be integers, got a bool")
     try:
-        starts = np.array([operator.index(t) % n for t in offsets], dtype=np.int64)
+        return np.array([operator.index(t) % n for t in offsets], dtype=np.int64)
     except TypeError as exc:  # a float offset names no rotation
         raise ValueError(f"offsets must be integers: {exc}") from None
+
+
+def _rotations(base: np.ndarray, offsets, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only windows of the doubled base in dtype, row s the base rotated
+    left by s, and the _starts of the offsets: row p of a set is
+    windows[starts[p]]."""
+    n = len(base)
+    starts = _starts(offsets, n)
     doubled = np.concatenate([base, base], dtype=dtype)
     return np.lib.stride_tricks.sliding_window_view(doubled, n), starts
 

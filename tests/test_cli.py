@@ -235,6 +235,44 @@ class TestIsl:
         assert run(capsys, *argv) == expected
 
 
+    @pytest.mark.parametrize("argv", [
+        # primes 2003 and 2011 share one block of the column-sum engine
+        ["sweep", "--fractions", "0", "0.25", "0.5", "--n-min", "2003", "--n-max", "2011"],
+        ["optimize", "--m", "3", "--exact-check", "2011"],
+    ])
+    @pytest.mark.parametrize("fault, message", [
+        ("residual", "FFT column sum of n=2011 lies 0.3 from an integer; the limit is 0.25"),
+        ("fold", "FFT column sum of n=2011 breaks the periodic fold "
+                 "c(k) + c(n - k) = M P(k) at lag 5"),
+    ])
+    def test_column_sum_fault_exits_two_naming_the_prime(self, capsys, monkeypatch, argv,
+                                                         fault, message):
+        # at M >= COLUMN_SUM_MIN_M sweep and optimize --exact-check take each
+        # total from one column sum; a fault at n = 2011 alone stops the command
+        assert islkit.correlation.COLUMN_SUM_MIN_M <= 3
+        if fault == "residual":
+            irfft = np.fft.irfft
+
+            def planted(spectrum, length):
+                out = irfft(spectrum, length)
+                out[-1] += 0.3  # the block's last set: n = 2011
+                return out
+
+            monkeypatch.setattr(np.fft, "irfft", planted)
+        else:
+            true_fn = islkit.correlation._column_sums
+
+            def planted(sets):
+                for base, m, c in true_fn(sets):
+                    if len(base) == 2011:
+                        c[5] += 2
+                    yield base, m, c
+
+            monkeypatch.setattr(islkit.correlation, "_column_sums", planted)
+        code, lines, err = run(capsys, *argv)
+        assert (code, lines, err) == (2, [], f"validation failure: {message}\n")
+
+
 class TestAsym:
     def test_pair_example(self, capsys):
         code, lines, _ = run(capsys, "asym", "--fractions", "0", "0.5")

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import islkit.correlation
 from islkit.correlation import (
     MAX_EXACT_N,
     MAX_ROUNDING_RESIDUAL,
     RoundingResidualError,
+    _column_sums,
+    _legendre_totals,
     _smooth_length,
     _sum_of_squares,
+    _total,
     aperiodic_correlation,
     cross_energy,
     isl_report,
@@ -471,6 +475,142 @@ class TestBlockedRoundTrips:
         calls.clear()
         with pytest.raises(RoundingResidualError, match=match):
             isl_report([np.roll(base, -t) for t in range(self.M)])
+
+
+def column_oracle(base, offsets):
+    """Lags 0..n-1 of the rows' autocorrelations summed, from np.correlate."""
+    n = len(base)
+    rows = [np.roll(base, -t) for t in offsets]
+    return sum(np.correlate(r, r, mode="full")[n - 1:] for r in rows)
+
+
+def with_extra_offset(offsets, n, extra):
+    """offsets, plus offset n - 1 or a duplicate of the first."""
+    return offsets + {"none": [], "last": [n - 1], "duplicate": offsets[:1]}[extra]
+
+
+def counted_rfft(monkeypatch):
+    """The shapes and lengths np.fft.rfft is called with, as they come."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(rows, n=None, *args, **kw):
+        calls.append((np.shape(rows), n))
+        return rfft(rows, n, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return calls
+
+
+class TestColumnSums:
+    """The column-sum identity against the rows (isl_totals) and the
+    correlate oracle, and the periodic fold that checks it."""
+
+    @given(
+        base=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=257),
+        offsets=st.lists(st.integers(-600, 600), min_size=1, max_size=6),
+        extra=st.sampled_from(["none", "last", "duplicate"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_rows_and_correlate_oracle(self, base, offsets, extra):
+        n = len(base)
+        offsets = with_extra_offset(offsets, n, extra)
+        (_, m, c), = _column_sums([(np.array(base), offsets)])
+        assert m == len(offsets) and c.dtype == np.int64
+        assert c.tolist() == column_oracle(base, offsets).tolist()
+        assert _total(c, m) == isl_totals(base, offsets).total
+
+    @given(
+        n=st.sampled_from(primes_in_range(3, 600)),
+        offsets=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+        extra=st.sampled_from(["none", "last", "duplicate"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_legendre_totals_match_rows(self, n, offsets, extra):
+        offsets = with_extra_offset(offsets, n, extra)
+        base = legendre_sequence(n)
+        assert list(_legendre_totals([(base, offsets)])) == [isl_totals(base, offsets).total]
+
+    def test_fold_passes_at_every_prime_below_600(self):
+        ns = primes_in_range(3, 600)
+        sets = [(legendre_sequence(n), [0, n // 3, n // 3, n - 1]) for n in ns]
+        assert list(_legendre_totals(sets)) == [isl_totals(*s).total for s in sets]
+
+    def test_fold_closed_form_is_the_cyclic_autocorrelation(self):
+        # P(k) = (k/n) + (-k/n) - 1: -1 at n = 3 mod 4, 2 (k/n) - 1 at n = 1 mod 4
+        for n in primes_in_range(3, 600):
+            b = legendre_sequence(n)
+            assert (b[1:] + b[:0:-1] - 1).tolist() == periodic_autocorrelation(b).tolist()
+
+    @pytest.mark.parametrize("ns, shapes", [
+        # smooth lengths 45, 64, 216 and 432: one block, padded to L = 432
+        ([23, 31, 101, 211], [((4, 2, 211), 432)]),
+        # L = 4050: two sets fill 2 x 2 x 4050 <= 2^14, a third starts a block
+        ([2003, 2011, 2017], [((2, 2, 2011), 4050), ((1, 2, 2017), 4050)]),
+    ])
+    def test_blocks_mix_smooth_lengths(self, monkeypatch, ns, shapes):
+        # and each set its own M: 1, 2, 3, then 4 with a duplicate
+        sets = [(legendre_sequence(n), [1, n // 2, n - 1, n // 2][:i + 1])
+                for i, n in enumerate(ns)]
+        want = [isl_totals(*s).total for s in sets]
+        calls = counted_rfft(monkeypatch)
+        got = list(_column_sums(sets))
+        assert calls == shapes
+        for (base, offsets), (got_base, m, c) in zip(sets, got):
+            assert got_base is base and m == len(offsets)
+            assert c.tolist() == column_oracle(base, offsets).tolist()
+        calls.clear()
+        assert list(_legendre_totals(sets)) == want
+        assert calls == shapes
+
+    def test_all_ones_at_max_exact_n_within_residual_limit(self, monkeypatch):
+        # the largest inputs the commands allow: |c(k)| = M (n - k) up to
+        # 2.4e9 at M = 1000; the worst rounding error measured is 2.4e-6
+        n, m = MAX_EXACT_N, 1000
+        residuals = []
+        true_fn = islkit.correlation._rint_checked
+
+        def spy(values, out, name, labels):
+            true_fn(values, out, name, labels)
+            residuals.append(float(np.abs(values).max()))
+
+        monkeypatch.setattr(islkit.correlation, "_rint_checked", spy)
+        offsets = np.random.default_rng(0).integers(0, n, m).tolist()
+        (_, _, c), = _column_sums([(np.ones(n), offsets)])
+        assert np.array_equal(c, m * np.arange(n, 0, -1))
+        assert len(residuals) == 1 and residuals[0] < MAX_ROUNDING_RESIDUAL / 1000
+
+    @pytest.mark.parametrize("offset", [0.3, -0.3, np.nan])
+    def test_rounding_residual_guard_names_its_own_n(self, monkeypatch, offset):
+        # a fault planted in the third set of a block names that set's n
+        irfft = np.fft.irfft
+
+        def planted(*args, **kw):
+            out = irfft(*args, **kw)
+            out[2] += offset
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", planted)
+        sets = [(legendre_sequence(n), [0, 3, 7]) for n in (23, 31, 101, 211)]
+        with pytest.raises(RoundingResidualError, match=r"^FFT column sum of n=101 lies"):
+            list(_column_sums(sets))
+
+    @pytest.mark.parametrize("fault", [1, -2])
+    @pytest.mark.parametrize("lag, named", [(0, 0), (1, 1), (17, 17), (84, 17), (100, 1)])
+    def test_planted_one_lag_fault_breaks_the_fold(self, monkeypatch, fault, lag, named):
+        true_fn = islkit.correlation._column_sums
+
+        def planted(sets):
+            for base, m, c in true_fn(sets):
+                c = c.copy()
+                c[lag] += fault
+                yield base, m, c
+
+        monkeypatch.setattr(islkit.correlation, "_column_sums", planted)
+        sets = [(legendre_sequence(101), [0, 30, 30, 100])]
+        with pytest.raises(RoundingResidualError,
+                           match=f"n=101 breaks the periodic fold .* at lag {named}$"):
+            list(_legendre_totals(sets))
 
 
 class TestPeriodicAutocorrelation:

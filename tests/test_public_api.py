@@ -169,8 +169,10 @@ def test_one_caller_per_fft():
     # one power-spectrum primitive under the exact and spectral paths:
     # rfft only in correlation.power_spectrum, its inverse only in the row
     # routine both exact paths share, the complex transform only in
-    # gf_at_roots; every module of the package is walked, and numpy.fft
-    # is named nowhere else, not even as a bare reference
+    # gf_at_roots; the column-sum engine, whose spectrum is a cross
+    # spectrum, makes its own round trip in _column_block.  Every module
+    # of the package is walked, and numpy.fft is named nowhere else, not
+    # even as a bare reference
     callers, named = {}, set()
     for path in sorted(pathlib.Path(islkit.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -184,11 +186,12 @@ def test_one_caller_per_fft():
                 if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
                         and node.value.attr == "fft"):
                     callers.setdefault(node.attr, set()).add(where)
-    assert callers == {"rfft": {"correlation.power_spectrum"},
-                       "irfft": {"correlation._rounded_autocorrelation"},
+    assert callers == {"rfft": {"correlation.power_spectrum", "correlation._column_block"},
+                       "irfft": {"correlation._rounded_autocorrelation",
+                                 "correlation._column_block"},
                        "ifft": {"spectral.gf_at_roots"}}
     assert named == {"correlation.power_spectrum", "correlation._rounded_autocorrelation",
-                     "spectral.gf_at_roots"}
+                     "correlation._column_block", "spectral.gf_at_roots"}
 
 
 def names_by_function() -> set[tuple[str, str]]:

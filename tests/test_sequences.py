@@ -78,6 +78,12 @@ class TestIsPrime:
         assert primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
         assert primes_in_range(24, 28) == []
 
+    @pytest.mark.parametrize("lo, hi", [(23, 499), (3, 27554), (2399000, 2399993), (0, 1),
+                                        (2, 2)])
+    def test_sieve_matches_miller_rabin(self, lo, hi):
+        # the segmented sieve against its twin, is_prime on every integer
+        assert primes_in_range(lo, hi) == [p for p in range(lo, hi + 1) if is_prime(p)]
+
 
 class TestLegendreSymbol:
     # the symbol as legendre_sequence realizes it: element j (j != 0 mod n)
