@@ -33,9 +33,9 @@ from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequ
 # matrices for its cross-checks: 1000 rotations at n = 199 take ~0.4 s
 # at ~88 MB.  sweep and optimize --exact-check stream the rows too below
 # COLUMN_SUM_MIN_M rotations: from n = 3, one rotation sweeps to
-# n = 27554 in ~4 s and two to 19806 in 3.5-5 s.  From COLUMN_SUM_MIN_M
-# on they take one column sum per prime, whose cost does not grow with M
-# (see _check_exact_work): from n = 3, three rotations sweep to 16332 in
+# n = 27554 in ~4 s.  From COLUMN_SUM_MIN_M on they take one column sum
+# per prime, whose cost does not grow with M (see _check_exact_work):
+# from n = 3, two rotations sweep to 19806 in ~2.2 s, three to 16332 in
 # ~1.7 s, four to 14244 in ~1.4 s, 100 to 3106 and 1000 to 1056 in
 # ~0.3 s (~52 MB, the asymptotic column's M x M arrays); 55 rotations
 # at n = 2399993 take 0.6-0.9 s at ~230 MB; the 8 rotations over
@@ -198,12 +198,11 @@ def _totals(rset):
     return isl_totals(legendre_sequence(rset.n), rset.offsets)
 
 
-def _exact_totals(fractions, primes):
-    """Exact ISL total of the rotation set at each prime, in order: from
+def _exact_totals(rsets, m: int):
+    """Exact ISL total of each bound set of m rotations, in order: from
     its rows (isl_totals) below COLUMN_SUM_MIN_M rotations, else from one
-    fold-checked column sum per prime."""
-    rsets = (bind_rotations(fractions, n) for n in primes)
-    if len(fractions) < COLUMN_SUM_MIN_M:
+    fold-checked column sum per set."""
+    if m < COLUMN_SUM_MIN_M:
         return (_totals(rset).total for rset in rsets)
     return _legendre_totals((legendre_sequence(rset.n), rset.offsets) for rset in rsets)
 
@@ -293,7 +292,8 @@ def cmd_sweep(args) -> int:
 
     asym = isl_limit(fractions).total
     lines = ["N,exact_normalized,asymptotic,relative_error"]
-    for n, total in zip(primes, _exact_totals(fractions, primes)):
+    rsets = (bind_rotations(fractions, n) for n in primes)
+    for n, total in zip(primes, _exact_totals(rsets, len(fractions))):
         exact = total / n**2
         rel = abs(exact - asym) / abs(asym)
         lines.append(",".join([str(n), fmt(exact), fmt(asym), fmt(rel)]))
@@ -311,7 +311,7 @@ def cmd_optimize(args) -> int:
     if args.exact_check is not None:
         n = _exact_length(args.exact_check, args.m)
         rset = bind_rotations(result.fractions, n)
-        normalized = next(_exact_totals(result.fractions, [n])) / n**2
+        normalized = next(_exact_totals([rset], args.m)) / n**2
         rel = abs(normalized - result.asym_value) / result.asym_value
         lines.append(
             f"exact-check N={n} offsets={','.join(map(str, rset.offsets))} "

@@ -18,9 +18,9 @@ on two rows per set gives it, in O(n log n) time whatever M, and
 consecutive sets share one transform.  Its values pass the same rounding
 check, and `_legendre_totals` checks each column sum of a Legendre set
 exactly against the periodic fold before summing its squares.  `sweep`
-and `optimize --exact-check` take it from COLUMN_SUM_MIN_M = 3 rotations
-on, the crossover measured at n ~ 10^6; `isl` keeps the rows, whose auto
-terms it prints.
+and `optimize --exact-check` take it from COLUMN_SUM_MIN_M = 2 rotations
+on, the crossover measured on sweep ranges and at n ~ 10^6; `isl` keeps
+the rows, whose auto terms it prints.
 
 The row engine's forward half, `power_spectrum` at the 2*3*5-smooth
 length of `_smooth_length`, is the package's one power-spectrum
@@ -53,11 +53,15 @@ _INT64_MAX = 2**63 - 1
 
 # Rotations from which sweep and optimize --exact-check take each total
 # from one column sum (_legendre_totals: two rows per prime) instead of
-# the M rows of isl_totals.  In-process at n = 999983 on a 2-core x86-64
-# host, one BLAS thread, the rows and the column sum took 0.086 and
-# 0.148 s at M = 1, 0.143 and 0.145 s at M = 2, 0.206 and 0.149 s at
-# M = 3 and 0.591 and 0.166 s at M = 8.
-COLUMN_SUM_MIN_M = 3
+# the M rows of isl_totals.  In-process on a 2-core x86-64 host, one
+# BLAS thread, the rows and the column sum took, for a sweep's exact
+# column, 2.92 and 3.48 s at M = 1 over the 3009 primes in 3..27554 and
+# 0.78 and 1.04 s over the 81 in 100000..101000; at M = 2, 2.43 and
+# 1.95 s over the 2240 primes in 3..19806, 1.14 and 0.98 s over
+# 100000..101000, 0.153 and 0.140 s at n = 999983 and 0.50 and 0.41 s
+# at n = 2399993.  From M = 3 the column sum wins further (0.591 and
+# 0.166 s at M = 8, n = 999983).
+COLUMN_SUM_MIN_M = 2
 
 
 class RoundingResidualError(ArithmeticError):

@@ -45,11 +45,14 @@ def is_prime(n: int) -> bool:
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi, ascending: a segmented sieve of
     [lo, hi] by the primes up to sqrt(hi), which a sieve of [2, sqrt(hi)]
-    finds in the same loop."""
+    finds in the same loop.  A window narrower than sqrt(hi), whose sieve
+    would cost more than the window, is tested integer by integer."""
     lo = max(lo, 2)
     if hi < lo:
         return []
     root = math.isqrt(hi)
+    if hi - lo + 1 < root:
+        return [p for p in range(lo, hi + 1) if is_prime(p)]
     small, segment = bytearray([1]) * (root + 1), bytearray([1]) * (hi - lo + 1)
     for p in range(2, root + 1):
         if small[p]:

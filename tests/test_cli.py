@@ -224,13 +224,15 @@ class TestIsl:
         assert len(lines) >= 2
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--fractions", "0", "0.5", "--n-min", "211", "--n-max", "211"],
-        ["optimize", "--m", "2", "--exact-check", "211"],
+        ["sweep", "--fractions", "0", "--n-min", "211", "--n-max", "211"],
+        ["optimize", "--m", "1", "--exact-check", "211"],
     ])
     def test_rounding_residual_exits_two_on_every_exact_path(self, capsys, monkeypatch, argv):
+        # below COLUMN_SUM_MIN_M sweep and optimize --exact-check fold rows as isl does
+        assert islkit.correlation.COLUMN_SUM_MIN_M > 1
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
-        expected = run(capsys, "isl", "--n", "211", "--fractions", "0", "0.5")
+        expected = run(capsys, "isl", "--n", "211", "--fractions", "0")
         assert expected[0] == 2 and expected[2].startswith("validation failure: FFT")
         assert run(capsys, *argv) == expected
 
@@ -239,6 +241,8 @@ class TestIsl:
         # primes 2003 and 2011 share one block of the column-sum engine
         ["sweep", "--fractions", "0", "0.25", "0.5", "--n-min", "2003", "--n-max", "2011"],
         ["optimize", "--m", "3", "--exact-check", "2011"],
+        ["sweep", "--fractions", "0.25", "0.75", "--n-min", "2003", "--n-max", "2011"],
+        ["optimize", "--m", "2", "--exact-check", "2011"],
     ])
     @pytest.mark.parametrize("fault, message", [
         ("residual", "FFT column sum of n=2011 lies 0.3 from an integer; the limit is 0.25"),
@@ -249,7 +253,7 @@ class TestIsl:
                                                          fault, message):
         # at M >= COLUMN_SUM_MIN_M sweep and optimize --exact-check take each
         # total from one column sum; a fault at n = 2011 alone stops the command
-        assert islkit.correlation.COLUMN_SUM_MIN_M <= 3
+        assert islkit.correlation.COLUMN_SUM_MIN_M <= 2
         if fault == "residual":
             irfft = np.fft.irfft
 

@@ -79,10 +79,15 @@ class TestIsPrime:
         assert primes_in_range(24, 28) == []
 
     @pytest.mark.parametrize("lo, hi", [(23, 499), (3, 27554), (2399000, 2399993), (0, 1),
-                                        (2, 2)])
+                                        (2, 2), (2397000, 2399993), (10**18, 10**18 + 200)])
     def test_sieve_matches_miller_rabin(self, lo, hi):
         # the segmented sieve against its twin, is_prime on every integer
         assert primes_in_range(lo, hi) == [p for p in range(lo, hi + 1) if is_prime(p)]
+
+    def test_narrow_window_at_large_hi(self):
+        # a sieve here would need a 10^9-byte table of base primes; a window
+        # narrower than sqrt(hi) (2399000..2399993 too) is tested by is_prime
+        assert primes_in_range(10**18, 10**18 + 100) == [10**18 + k for k in (3, 9, 31, 79)]
 
 
 class TestLegendreSymbol:
