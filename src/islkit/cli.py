@@ -18,28 +18,28 @@ import numpy as np
 # the exact path (gen, isl above SPECTRAL_CHECK_MAX_N, sweep's exact
 # column) needs only these two, which the argument checks and the
 # exit-code mapping read as well.
-from .correlation import (COLUMN_SUM_MIN_M, MAX_EXACT_N, RoundingResidualError, _legendre_totals,
-                          isl_report, isl_totals)
+from .correlation import (MAX_EXACT_N, RoundingResidualError, _legendre_totals, isl_report,
+                          isl_totals)
 from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequence,
                         primes_in_range)
 
-# isl streams its rows (correlation.isl_totals): one FFT round trip of
-# length ~2n per block of rotations, in O(n) memory, so this bound on
-# M * sum(n) * log2(n_max), summed over every odd n in range, limits its
-# time.  On a 2-core x86-64 host with one BLAS thread, fresh processes,
-# at the bound: isl with 55 rotations at n = 2399993 takes ~20 s at
-# ~270 MB peak RSS and 140 at n = 999983 ~16 s at ~130 MB.  isl at
-# n <= SPECTRAL_CHECK_MAX_N also builds the (M, n) array and the pair
-# matrices for its cross-checks: 1000 rotations at n = 199 take ~0.4 s
-# at ~88 MB.  sweep and optimize --exact-check stream the rows too below
-# COLUMN_SUM_MIN_M rotations: from n = 3, one rotation sweeps to
-# n = 27554 in ~4 s.  From COLUMN_SUM_MIN_M on they take one column sum
+# Every exact value comes from one engine (correlation._column_sums).
+# isl streams each rotation as a one-row set, one FFT round trip of
+# length ~2n per block of rows, in O(n) memory, and checks its total
+# against the set's column sum, one round trip of at most two rows; so
+# this bound on M * sum(n) * log2(n_max), summed over every odd n in
+# range, limits its time.  On a 2-core x86-64 host with one BLAS thread,
+# fresh processes, at the bound: isl with 55 rotations at n = 2399993
+# takes ~18 s at ~250 MB and 140 at n = 999983 ~15 s at ~122 MB.  isl
+# at n <= SPECTRAL_CHECK_MAX_N also builds the (M, n) array and the pair
+# matrices for its cross-checks: 1000 rotations at n = 199 take ~0.45 s
+# at ~88 MB.  sweep and optimize --exact-check take only the column sum
 # per prime, whose cost does not grow with M (see _check_exact_work):
-# from n = 3, two rotations sweep to 19806 in ~2.2 s, three to 16332 in
-# ~1.7 s, four to 14244 in ~1.4 s, 100 to 3106 and 1000 to 1056 in
-# ~0.3 s (~52 MB, the asymptotic column's M x M arrays); 55 rotations
-# at n = 2399993 take 0.6-0.9 s at ~230 MB; the 8 rotations over
-# 23..499 of the README take ~0.15-0.2 s.
+# from n = 3, one rotation sweeps to n = 27554 in ~3.5 s, two to 19806
+# in ~2.5 s, three to 16332 in ~2.2 s, four to 14244 in ~2.1 s, 100 to
+# 3106 and 1000 to 1056 in ~0.35-0.5 s (~52 MB, the asymptotic column's
+# M x M arrays); 55 rotations at n = 2399993 take ~0.8 s at ~230 MB;
+# the 8 rotations over 23..499 of the README take ~0.15 s.
 MAX_EXACT_WORK = 28 * 10**8
 SPECTRAL_CHECK_MAX_N = 199
 # surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
@@ -130,11 +130,12 @@ def _exact_length(n: int, m: int) -> int:
 def _check_exact_work(m: int, n_min: int, n_max: int) -> None:
     # O(1), before any sequence is built, any prime is listed or n is
     # tested; the sum runs over every odd n in range, an upper bound on
-    # the primes.  It counts M on the column-sum path as well, where time
-    # no longer grows with M: a bound re-fitted to that path would admit
-    # commands that exit 1 today, such as optimize --m 1000 --exact-check
-    # 999983 of the golden corpus, and would be a second bound keyed on
-    # the path.  So every refusal stays, and that path runs far inside it.
+    # the primes.  It counts M for sweep and optimize --exact-check too,
+    # whose column sums cost the same at any M: a bound re-fitted to them
+    # would admit commands that exit 1 today, such as optimize --m 1000
+    # --exact-check 999983 of the golden corpus, and would be a second
+    # bound keyed on the command.  So every refusal stays, and they run
+    # far inside it.
     if n_max > MAX_EXACT_N:
         raise UsageError(f"n={n_max} exceeds {MAX_EXACT_N}, beyond which ISL energies overflow int64")
     lo, hi = max(n_min, 3) | 1, n_max - 1 + n_max % 2
@@ -194,17 +195,18 @@ def _isl_spectral_crosscheck(report, seqs) -> None:
 
 
 def _totals(rset):
-    # rows are views of one doubled Legendre base, checked for +-1 once
-    return isl_totals(legendre_sequence(rset.n), rset.offsets)
-
-
-def _exact_totals(rsets, m: int):
-    """Exact ISL total of each bound set of m rotations, in order: from
-    its rows (isl_totals) below COLUMN_SUM_MIN_M rotations, else from one
-    fold-checked column sum per set."""
-    if m < COLUMN_SUM_MIN_M:
-        return (_totals(rset).total for rset in rsets)
-    return _legendre_totals((legendre_sequence(rset.n), rset.offsets) for rset in rsets)
+    """The set's streamed totals (isl_totals: each rotation a one-row set
+    of the one Legendre base, checked for +-1 once), whose total must
+    equal the set's fold-checked column sum (_legendre_totals): M
+    one-row spectra against the base's two rows, or, where every offset
+    is equal, one row checked by the fold alone."""
+    base = legendre_sequence(rset.n)
+    totals = isl_totals(base, rset.offsets)
+    twin, = _legendre_totals([(base, rset.offsets)])
+    if twin != totals.total:
+        raise ValidationFailure(f"FFT column sum of n={rset.n} gives the total {twin}, "
+                                f"its rows {totals.total}")
+    return totals
 
 
 def _crosschecked_totals(rset):
@@ -292,8 +294,8 @@ def cmd_sweep(args) -> int:
 
     asym = isl_limit(fractions).total
     lines = ["N,exact_normalized,asymptotic,relative_error"]
-    rsets = (bind_rotations(fractions, n) for n in primes)
-    for n, total in zip(primes, _exact_totals(rsets, len(fractions))):
+    sets = ((legendre_sequence(n), bind_rotations(fractions, n).offsets) for n in primes)
+    for n, total in zip(primes, _legendre_totals(sets)):
         exact = total / n**2
         rel = abs(exact - asym) / abs(asym)
         lines.append(",".join([str(n), fmt(exact), fmt(asym), fmt(rel)]))
@@ -311,7 +313,8 @@ def cmd_optimize(args) -> int:
     if args.exact_check is not None:
         n = _exact_length(args.exact_check, args.m)
         rset = bind_rotations(result.fractions, n)
-        normalized = next(_exact_totals([rset], args.m)) / n**2
+        total, = _legendre_totals([(legendre_sequence(n), rset.offsets)])
+        normalized = total / n**2
         rel = abs(normalized - result.asym_value) / result.asym_value
         lines.append(
             f"exact-check N={n} offsets={','.join(map(str, rset.offsets))} "

@@ -1,31 +1,28 @@
 """Correlation sums of antipodal sequences: the exact ISL and its oracle.
 
-One row engine, `_rounded_autocorrelation`, serves the exact ISL: it
-rounds FFT autocorrelations to integers, one round trip per block of
-rows, and checks that no value sat 0.25 or more from its integer: exact
-by check, not by assumption.  Both entry points hand it an array and the
-indices of their rows in it, and fold its blocks.  `isl_totals` adds
-each block into a running column sum and the row norms and drops it, so
-it prints every total of a rotation set in O(M n log n) time and O(n)
-memory.  `isl_report` copies each block into the autocorrelation matrix
-R and takes every auto and cross energy from it as one int64 matrix
-product, in O(M n log n + M^2 n) time and O(M n) memory.
+One engine, `_column_sums`, serves every exact value.  It gives the
+column sum c = sum_p r_p of a rotation set's M aperiodic
+autocorrelations at lags 0..n-1 and rounds it to int64 after a check
+that no value sat 0.25 or more from its integer: exact by check, not by
+assumption.  c depends on the rotations only through how many offsets
+lie at or below each index, so one FFT round trip on at most two rows
+per set gives it, in O(n log n) time whatever M; a set whose offsets
+share one start is one row, its rotated window.  Consecutive sets share
+one transform.  Every exact path reads it:
 
-A second engine, `_column_sums`, gives a set's total without its rows:
-the column sum of the M autocorrelations depends on the rotations only
-through how many offsets lie at or below each index, so one round trip
-on two rows per set gives it, in O(n log n) time whatever M, and
-consecutive sets share one transform.  Its values pass the same rounding
-check, and `_legendre_totals` checks each column sum of a Legendre set
-exactly against the periodic fold before summing its squares.  `sweep`
-and `optimize --exact-check` take it from COLUMN_SUM_MIN_M = 2 rotations
-on, the crossover measured on sweep ranges and at n ~ 10^6; `isl` keeps
-the rows, whose auto terms it prints.
+- `_legendre_totals` checks each column sum of a Legendre set exactly
+  against the periodic fold before summing its squares: the totals of
+  `sweep` and `optimize --exact-check`, and the twin of `isl`'s;
+- `isl_totals` feeds a set's M rotations in as one-row sets, adds their
+  lags into one column sum and their norms into the auto terms, and
+  drops them: O(M n log n) time and O(n) memory;
+- `isl_report` copies the same one-row lags into the autocorrelation
+  matrix R and takes every auto and cross energy from it as one int64
+  matrix product, in O(M n log n + M^2 n) time and O(M n) memory;
+- `selfcheck.periodic_autocorrelation_exact` folds one one-row set.
 
-The row engine's forward half, `power_spectrum` at the 2*3*5-smooth
-length of `_smooth_length`, is the package's one power-spectrum
-primitive: the spectral module imports it from here, so the exact path
-loads no islkit module but this one and `sequences`.
+`power_spectrum` at the 2*3*5-smooth length of `_smooth_length` is the
+spectral path's primitive; the spectral module imports both from here.
 
 `aperiodic_correlation` and the energies built on it use plain sliding
 products (numpy's direct correlate, no FFT).  They are the oracle the
@@ -39,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _real_array, _rotations, _starts, check_antipodal
+from .sequences import _real_array, _starts, check_antipodal
 
 
 # Largest distance from its integer at which an FFT correlation value
@@ -49,19 +46,6 @@ MAX_ROUNDING_RESIDUAL = 0.25
 # a pair's energy plus n^2, is at most n (n + 1) (2n + 1) / 3 < 2^63.
 MAX_EXACT_N = 2_400_000
 _INT64_MAX = 2**63 - 1
-
-
-# Rotations from which sweep and optimize --exact-check take each total
-# from one column sum (_legendre_totals: two rows per prime) instead of
-# the M rows of isl_totals.  In-process on a 2-core x86-64 host, one
-# BLAS thread, the rows and the column sum took, for a sweep's exact
-# column, 2.92 and 3.48 s at M = 1 over the 3009 primes in 3..27554 and
-# 0.78 and 1.04 s over the 81 in 100000..101000; at M = 2, 2.43 and
-# 1.95 s over the 2240 primes in 3..19806, 1.14 and 0.98 s over
-# 100000..101000, 0.153 and 0.140 s at n = 999983 and 0.50 and 0.41 s
-# at n = 2399993.  From M = 3 the column sum wins further (0.591 and
-# 0.166 s at M = 8, n = 999983).
-COLUMN_SUM_MIN_M = 2
 
 
 class RoundingResidualError(ArithmeticError):
@@ -140,47 +124,19 @@ def power_spectrum(rows, length: int) -> np.ndarray:
     return spec
 
 
-# Values (rows x FFT length) per FFT round trip on the exact path: a block
-# of B = max(1, min(M, _BLOCK_VALUES // L)) rows of smooth length L shares
-# one power_spectrum, one irfft and one rint, which at a sweep's small n
-# cost less than the ~25 numpy calls a row pays on its own.  Where B > 1
-# the float buffer and its spectrum hold at most 2^14 values (128 KB)
-# each, the gathered rows and the rounded lags at most 64 KB each:
-# under 0.5 MB in all.  Past L = 2^13 (n > 4096) every block
-# is one row, as at n ~ 20 000 and n ~ 10^6, with O(n) buffers.  A budget
-# of 2^16 made 8 rows at n = 12007 ~30% slower per call than one row at a
-# time: buffers that large fault in fresh pages on every call (~1.2k
-# minor faults).
+# Values (rows x FFT length) per FFT round trip of the column engine:
+# consecutive sets share one rfft, one irfft and one rint while their
+# rows (one per set whose starts are all equal, else two) times the
+# smooth length L of the longest stay within 2^14, which at a sweep's
+# small n costs less than the ~25 numpy calls a set pays on its own.
+# Where a block holds several sets its float rows and rounded lags take
+# at most 64 KB each, its spectrum and w at most 128 KB each: under
+# 0.5 MB in all.  Past L = 2^13 (n > 4096) every block is one set, as at
+# n ~ 20 000 and n ~ 10^6, with O(n) buffers.  A budget of 2^16 made
+# 8 rows at n = 12007 ~30% slower per call than one row at a time:
+# buffers that large fault in fresh pages on every call (~1.2k minor
+# faults).
 _BLOCK_VALUES = 1 << 14
-
-
-def _rounded_autocorrelation(rows: np.ndarray, starts: np.ndarray):
-    """Lags 0..n-1 of the aperiodic autocorrelations of the m antipodal
-    rows rows[starts[p]] of length n, rounded to int64 and yielded as
-    (p, lags) a block of rows p..p+B-1 at a time.
-
-    One FFT round trip per block (power_spectrum, then irfft) on
-    the 2*3*5-smooth length L >= 2n-1, so no lag wraps, with B = max(1,
-    min(m, _BLOCK_VALUES // L)); a larger block is one gather, a one-row
-    block the view rows[s:s + 1] (at n ~ 10^6 a gathered row takes 8 MB).
-    The float and int64 buffers are reused across blocks, because a fresh
-    output per block costs faults and peak memory: each yielded lags is a
-    view that the next block overwrites.
-    Raises RoundingResidualError, naming the first failing row, if a value
-    is not within MAX_ROUNDING_RESIDUAL of an integer.
-    """
-    m, n = len(starts), rows.shape[1]
-    length = _smooth_length(2 * n - 1)
-    block = max(1, min(m, _BLOCK_VALUES // length))
-    corr = np.empty((block, length))
-    buf = np.empty((block, n), dtype=np.int64)
-    for p in range(0, m, block):
-        b = min(block, m - p)
-        block_rows = rows[starts[p]:starts[p] + 1] if b == 1 else rows[starts[p:p + b]]
-        lags = np.fft.irfft(power_spectrum(block_rows, length), length, out=corr[:b])[:, :n]
-        out = buf[:b]
-        _rint_checked(lags, out, f"FFT autocorrelation of sequence {{}} (n={n})", range(p, p + b))
-        yield p, out
 
 
 def _rint_checked(values, out, name: str, labels) -> None:
@@ -202,7 +158,7 @@ def _column_sums(sets):
     """Column sum c = sum_p r_p (int64, lags 0..n-1) of the M rotated
     autocorrelations of each (base, offsets) set of sets, an antipodal
     base rotated left by each offset (the rule of sequences._starts),
-    yielded in order as (base, M, c) without forming a row.
+    yielded in order as (base, M, c) without forming the M rows.
 
     Row p is the window b[t_p : t_p + n] of the doubled base, so
     c(k) = sum_i b_i b_{i+k} [G(i) - G(i + k - n)] with G(x) = #{p : t_p <= x}
@@ -212,48 +168,64 @@ def _column_sums(sets):
     u = b G.  r is even and a odd, so one inverse transform of
     M |B|^2 + conj(U) B - U conj(B) gives w = M r + a, and
     c(k) = w(k) - (w(n - k) - w(k - n)) / 2: two rows per set, whatever M.
+    A set whose starts all equal t is one row, its window at t taken as
+    the base: G = M from 0 on, U = M B and a = 0, so w = M r is c.
     Consecutive sets share one rfft and one irfft at the smooth length L
-    of the longest, while 2 x sets x L stays within _BLOCK_VALUES.
-    Raises RoundingResidualError, naming n, as isl_totals does.
+    of the longest, while their rows times L stay within _BLOCK_VALUES.
+    Raises RoundingResidualError, naming n, if a value is not within
+    MAX_ROUNDING_RESIDUAL of an integer.
     """
-    block, length = [], 0
+    block, rows, length = [], 0, 0
     for base, offsets in sets:
+        starts = _starts(offsets, len(base))
         size = _smooth_length(2 * len(base) - 1)
-        if block and 2 * (len(block) + 1) * max(length, size) > _BLOCK_VALUES:
+        two = len(set(starts.tolist())) > 1
+        if block and (rows + 1 + two) * max(length, size) > _BLOCK_VALUES:
             yield from _column_block(block, length)
-            block, length = [], 0
-        block.append((base, _starts(offsets, len(base))))
+            block, rows, length = [], 0, 0
+        block.append((base, starts, two))
+        rows += 1 + two
         length = max(length, size)
     if block:
         yield from _column_block(block, length)
 
 
 def _column_block(block, length: int):
-    """_column_sums of one block of (base, starts) sets, all transformed
-    at the one smooth length given."""
-    ns = [len(base) for base, _ in block]
-    rows = np.zeros((len(block), 2, max(ns)))
-    for j, (base, starts) in enumerate(block):
-        rows[j, 0, :ns[j]] = base
-        np.multiply(base, np.bincount(starts, minlength=ns[j]).cumsum(), out=rows[j, 1, :ns[j]])
+    """_column_sums of one block of (base, starts, two) sets, all
+    transformed at the one smooth length given.  Row j of the transform is
+    set j's window: at its one start for a one-row set, else at 0, the
+    base; the b G rows of the two-row sets follow, in order."""
+    ns = [len(base) for base, _, _ in block]
+    pairs = [j for j, (_, _, two) in enumerate(block) if two]
+    rows = np.zeros((len(block) + len(pairs), max(ns)))
+    for j, (base, starts, two) in enumerate(block):
+        n, t = ns[j], 0 if two else starts[0]
+        rows[j, :n - t], rows[j, n - t:n] = base[t:], base[:t]
+    for i, j in enumerate(pairs, len(block)):
+        base, starts, _ = block[j]
+        np.multiply(base, np.bincount(starts, minlength=ns[j]).cumsum(), out=rows[i, :ns[j]])
     spec = np.fft.rfft(rows, length)
     del rows  # a generator keeps its locals: free each buffer once read
-    b, z = spec[:, 0], spec[:, 1]
+    b, z = spec[:len(block)], spec[len(block):]
+    at = slice(None) if len(pairs) == len(block) else pairs  # the rows of b that z pairs with
     np.conjugate(z, out=z)
-    z *= b  # conj(U) B
-    # w's spectrum, M |B|^2 + conj(U) B - U conj(B) = M |B|^2 + 2i Im(conj(U) B), in b
+    z *= b[at]  # conj(U) B
+    # w's spectrum in b: M |B|^2, plus 2i Im(conj(U) B) = conj(U) B - U conj(B)
+    # for a two-row set
     np.square(b.real, out=b.real)
     b.real += np.square(b.imag, out=b.imag)
-    b.real *= [[len(starts)] for _, starts in block]
-    np.multiply(z.imag, 2, out=b.imag)
+    b.real *= [[len(starts)] for _, starts, _ in block]
+    b.imag.fill(0)
+    b.imag[at] = np.multiply(z.imag, 2, out=z.imag)
     w = np.fft.irfft(b, length)
     del spec, b, z
-    for j, n in enumerate(ns):
+    for j in pairs:
+        n = ns[j]
         w[j, 1:n] -= (w[j, n - 1:0:-1] - w[j, length - n + 1:]) / 2
     lags = w[:, :max(ns)]
     out = np.empty(lags.shape, dtype=np.int64)
     _rint_checked(lags, out, "FFT column sum of n={}", ns)
-    for j, (base, starts) in enumerate(block):
+    for j, (base, starts, _) in enumerate(block):
         yield base, len(starts), out[j, :ns[j]]
 
 
@@ -305,11 +277,12 @@ def isl_totals(base, offsets) -> IslTotals:
     Summed over all (p, q), the energies 2 R R^T - n^2 of isl_report are
     2 |sum_p r_p|^2 - M^2 n^2 (the paper's circle sum over the 2n-th
     roots, read in the lag domain); the total drops the M mainlobes n^2,
-    and the auto term of row p is 2 |r_p|^2 - 2 n^2.  So the engine's
-    blocks of rows, read from the base's windows (sequences._rotations)
-    after one +-1 check, are folded into an int64 column sum and their
-    norms, and dropped: no (M, n) array is formed.  Offsets follow the
-    row rule of _rotations.  Raises RoundingResidualError as isl_report does.
+    and the auto term of row p is 2 |r_p|^2 - 2 n^2.  So each rotation of
+    the base, checked for +-1 once, goes through the engine as a one-row
+    set (_column_sums), and its lags are added into an int64 column sum
+    and its norm kept: no (M, n) array is formed.  Offsets follow the row
+    rule of sequences._starts.  Raises RoundingResidualError as
+    isl_report does.
     """
     base = check_antipodal(base)
     if base.ndim != 1:
@@ -321,13 +294,11 @@ def isl_totals(base, offsets) -> IslTotals:
         # every column sum lies within m n, and its square must fit int64
         raise ValueError(f"{m} rotations of length {n}: need 1 <= m <= "
                          f"{math.isqrt(_INT64_MAX) // n}")
-    windows, starts = _rotations(base, offsets, np.float64)  # exact; rfft casts no row
     colsum = np.zeros(n, dtype=np.int64)
     norms = np.empty(m, dtype=np.int64)
-    for p, lags in _rounded_autocorrelation(windows, starts):
-        # a one-row block adds its row uncopied: a row sum takes 8 MB at n ~ 10^6
-        colsum += lags[0] if len(lags) == 1 else lags.sum(axis=0)
-        np.einsum("ij,ij->i", lags, lags, out=norms[p:p + len(lags)])
+    for p, (_, _, lags) in enumerate(_column_sums((base, (t,)) for t in offsets)):
+        colsum += lags
+        norms[p] = lags @ lags
     # |r_p(k)| <= n - k, so 2 |r_p|^2 <= n (n + 1) (2n + 1) / 3 < 2^63
     auto = 2 * norms - 2 * n * n
     total = _total(colsum, m)
@@ -337,11 +308,12 @@ def isl_totals(base, offsets) -> IslTotals:
 def isl_report(seqs) -> IslReport:
     """Integrated sidelobe level of a set, assembled term by term.
 
-    seqs is an (M, n) array-like of antipodal rows.  The engine's rounded
-    lags 0..n-1 of each row are copied into its row of the int64
-    autocorrelation matrix R.  By the paper's circle-sum identity read in
-    the lag domain, sum_k X_pq(k)^2 = sum_k r_p(k) r_q(k), so the energy
-    matrix is 2 R R^T - n^2.  Raises RoundingResidualError if a rounded
+    seqs is an (M, n) array-like of antipodal rows.  The rounded lags
+    0..n-1 of each row, a one-row set of the engine (_column_sums), are
+    copied into its row of the int64 autocorrelation matrix R.  By the
+    paper's circle-sum identity read in the lag domain,
+    sum_k X_pq(k)^2 = sum_k r_p(k) r_q(k), so the energy matrix is
+    2 R R^T - n^2.  Raises RoundingResidualError if a rounded
     value is not within MAX_ROUNDING_RESIDUAL of an integer.  isl_totals
     gives the same totals without the pairs, in O(n) memory.
     """
@@ -352,8 +324,8 @@ def isl_report(seqs) -> IslReport:
     if n > MAX_EXACT_N:
         raise ValueError(f"n={n} exceeds {MAX_EXACT_N}, beyond which energies overflow int64")
     autocorr = np.empty((m, n), dtype=np.int64)
-    for p, lags in _rounded_autocorrelation(seqs, np.arange(m)):
-        autocorr[p:p + len(lags)] = lags
+    for row, (_, _, lags) in zip(autocorr, _column_sums((seq, (0,)) for seq in seqs)):
+        row[:] = lags
     energy = 2 * (autocorr @ autocorr.T) - n * n
     auto = energy.diagonal() - n * n
     np.fill_diagonal(energy, 0)

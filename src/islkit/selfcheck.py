@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spectral
 from .asymptotic import re_dilog_on_circle
-from .correlation import _rounded_autocorrelation, cross_energy
+from .correlation import _column_sums, cross_energy
 from .sequences import _rotations, legendre_sequence, primes_in_range
 
 
@@ -218,19 +218,19 @@ def check_gauss_sum_magnitude(max_n: int, rng) -> CheckResult:
 def check_periodic_bound(max_n: int, rng) -> CheckResult:
     """Cyclic autocorrelation of a Legendre sequence stays within 3 in
     magnitude at every nonzero lag, for every prime n <= max_n; one of the
-    three prime_checks.  Its values come from the exact row engine
+    three prime_checks.  Its values come from the exact engine
     (periodic_autocorrelation_exact), O(n log n) per prime."""
     return prime_checks(max_n)[2]
 
 
 def periodic_autocorrelation_exact(seq) -> np.ndarray:
     """Cyclic autocorrelation of one +-1 sequence at lags 1 .. n-1, as
-    int64: r(k) + r(n - k), with r the aperiodic lags that the exact row
-    engine (correlation._rounded_autocorrelation) rounds and checks.
-    correlation.periodic_autocorrelation is its np.correlate twin."""
-    row = np.asarray(seq, dtype=np.float64)[np.newaxis]
-    (_, lags), = _rounded_autocorrelation(row, np.zeros(1, dtype=np.int64))
-    return lags[0, 1:] + lags[0, :0:-1]
+    int64: r(k) + r(n - k), with r the aperiodic lags of seq as a one-row
+    set of the exact engine (correlation._column_sums), rounded and
+    checked.  correlation.periodic_autocorrelation is its np.correlate
+    twin."""
+    (_, _, lags), = _column_sums([(np.asarray(seq), (0,))])
+    return lags[1:] + lags[:0:-1]
 
 
 def prime_checks(max_n: int) -> list[CheckResult]:

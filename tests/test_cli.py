@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -112,21 +113,18 @@ class TestIsl:
         assert lines == []
         assert "cross-check failed for auto[0]" in err and "rel_err=nan" in err
 
-    @pytest.mark.parametrize("factor,message", [(2.0, "spectral cross-check failed"),
-                                                (np.nan, "from an integer")])
-    def test_shared_power_spectrum_corruption_exits_two(self, capsys, monkeypatch,
-                                                        factor, message):
-        # both paths read |Q|^2 from the one primitive; scaled by 2 there,
-        # the exact energies become 4E + 3n^2 and the spectral ones 4E, so
-        # the cross-check still tells the two paths apart
+    @pytest.mark.parametrize("factor", [2.0, np.nan])
+    def test_power_spectrum_corruption_exits_two(self, capsys, monkeypatch, factor):
+        # the spectral path reads |Q|^2 from this primitive and the exact
+        # engine makes its own round trip, so the cross-check between them
+        # catches a scaled or a NaN power spectrum
         true_fn = islkit.correlation.power_spectrum
-        for module in (islkit.spectral, islkit.correlation):
-            monkeypatch.setattr(module, "power_spectrum",
-                                lambda rows, length: true_fn(rows, length) * factor)
+        monkeypatch.setattr(islkit.spectral, "power_spectrum",
+                            lambda rows, length: true_fn(rows, length) * factor)
         code, lines, err = run(capsys, "isl", "--n", "101", "--fractions", "0.1", "0.6")
         assert code == 2
         assert lines == []
-        assert message in err
+        assert "spectral cross-check failed" in err
 
     def test_library_value_error_names_its_origin(self, capsys, monkeypatch):
         # a check the CLI does not make itself: isl_report refuses the length
@@ -207,14 +205,47 @@ class TestIsl:
         assert err == ("validation failure: streamed total 334 (auto part 66) differs "
                        "from isl_report's terms 332 (auto part 66)\n")
 
+    @pytest.mark.parametrize("n", ["211", "1009"])
+    @pytest.mark.parametrize("fault", ["rows", "twin", "fold"])
+    def test_isl_total_has_a_column_sum_twin_at_every_n(self, capsys, monkeypatch, n, fault):
+        # above the spectral bound the streamed total (one-row sets) is
+        # checked against the set's fold-checked column sum (one M-row set):
+        # a fault in a row, or in the twin where the fold cannot see it
+        # (+1 at lag 5, -1 at lag n - 5), is a mismatch; a fold break
+        # names its lag
+        argv = ["isl", "--n", n, "--fractions", "0.1", "0.35", "0.8"]
+        code, lines, _ = run(capsys, *argv)
+        assert code == 0
+        total = lines[1].split(",")[2]
+        true_fn = islkit.correlation._column_sums
+
+        def planted(sets):
+            for base, m, c in true_fn(sets):
+                if (m == 1) == (fault == "rows"):
+                    c[5] += 1 if fault != "fold" else 2
+                    if fault == "twin":
+                        c[-5] -= 1
+                yield base, m, c
+
+        monkeypatch.setattr(islkit.correlation, "_column_sums", planted)
+        code, lines, err = run(capsys, *argv)
+        assert (code, lines) == (2, [])
+        if fault == "fold":
+            assert err == (f"validation failure: FFT column sum of n={n} breaks the periodic "
+                           "fold c(k) + c(n - k) = M P(k) at lag 5\n")
+        else:
+            twin, rows = re.fullmatch(f"validation failure: FFT column sum of n={n} gives the "
+                                      r"total (\d+), its rows (\d+)\n", err).groups()
+            assert ((twin == total), (rows == total)) == ((fault == "rows"), (fault == "twin"))
+
     @pytest.mark.parametrize("argv", [
         ["isl", "--n", "211", "--fractions", "0.1", "0.6", "0.6"],
         ["sweep", "--fractions", "0.1", "0.6", "--n-min", "3", "--n-max", "211"],
         ["optimize", "--m", "3", "--exact-check", "101"],
     ])
     def test_streamed_paths_never_build_the_set(self, capsys, monkeypatch, argv):
-        # isl above n = 199, sweep and optimize --exact-check stream rows
-        # as views of one base: no (M, n) int64 array
+        # isl above n = 199, sweep and optimize --exact-check read their
+        # rows from one base, set by set: no (M, n) int64 array
         def refuse(self):
             raise AssertionError("RotationSet.sequences() called")
 
@@ -228,12 +259,13 @@ class TestIsl:
         ["optimize", "--m", "1", "--exact-check", "211"],
     ])
     def test_rounding_residual_exits_two_on_every_exact_path(self, capsys, monkeypatch, argv):
-        # below COLUMN_SUM_MIN_M sweep and optimize --exact-check fold rows as isl does
-        assert islkit.correlation.COLUMN_SUM_MIN_M > 1
+        # one rotation is one row of the one engine on every command
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
         expected = run(capsys, "isl", "--n", "211", "--fractions", "0")
-        assert expected[0] == 2 and expected[2].startswith("validation failure: FFT")
+        assert expected[0] == 2
+        assert expected[2] == ("validation failure: FFT column sum of n=211 lies 0.3 from an "
+                               "integer; the limit is 0.25\n")
         assert run(capsys, *argv) == expected
 
 
@@ -243,6 +275,9 @@ class TestIsl:
         ["optimize", "--m", "3", "--exact-check", "2011"],
         ["sweep", "--fractions", "0.25", "0.75", "--n-min", "2003", "--n-max", "2011"],
         ["optimize", "--m", "2", "--exact-check", "2011"],
+        # one rotation: one row per prime, two primes in one block
+        ["sweep", "--fractions", "0.3", "--n-min", "2003", "--n-max", "2011"],
+        ["optimize", "--m", "1", "--exact-check", "2011"],
     ])
     @pytest.mark.parametrize("fault, message", [
         ("residual", "FFT column sum of n=2011 lies 0.3 from an integer; the limit is 0.25"),
@@ -251,9 +286,8 @@ class TestIsl:
     ])
     def test_column_sum_fault_exits_two_naming_the_prime(self, capsys, monkeypatch, argv,
                                                          fault, message):
-        # at M >= COLUMN_SUM_MIN_M sweep and optimize --exact-check take each
-        # total from one column sum; a fault at n = 2011 alone stops the command
-        assert islkit.correlation.COLUMN_SUM_MIN_M <= 2
+        # sweep and optimize --exact-check take each total from one column
+        # sum, whatever M; a fault at n = 2011 alone stops the command
         if fault == "residual":
             irfft = np.fft.irfft
 
@@ -661,15 +695,15 @@ class TestValidate:
         # cyclic Legendre values are -1 (n = 3 mod 4), or 1 and -3 (n = 1
         # mod 4), so +2 on one lag reads at most 3 and passes; -2 on lag 2
         # at n = 13, a non-residue whose value is -3, reads -5
-        true_engine = islkit.selfcheck._rounded_autocorrelation
+        true_engine = islkit.selfcheck._column_sums
 
-        def planted(rows, starts):
-            for p, lags in true_engine(rows, starts):
-                if rows.shape[1] == 13:
-                    lags[:, 2] -= 2
-                yield p, lags
+        def planted(sets):
+            for base, m, lags in true_engine(sets):
+                if len(base) == 13:
+                    lags[2] -= 2
+                yield base, m, lags
 
-        monkeypatch.setattr(islkit.selfcheck, "_rounded_autocorrelation", planted)
+        monkeypatch.setattr(islkit.selfcheck, "_column_sums", planted)
         code, lines, err = run(capsys, "validate", "--max-n", "13")
         assert code == 2
         assert "failed checks: periodic-bound" in err

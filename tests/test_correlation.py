@@ -369,11 +369,11 @@ class TestIslTotals:
     def test_rounding_residual_guard_raises(self, monkeypatch, offset):
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + offset)
-        with pytest.raises(RoundingResidualError, match="sequence 0 .* from an integer"):
+        with pytest.raises(RoundingResidualError, match="^FFT column sum of n=31 lies .* from an"):
             isl_totals(legendre_sequence(31), [0, 3])
 
     @pytest.mark.parametrize("n, shapes", [(31, [(2, 31)]),  # one gathered block
-                                           (5003, [(1, 5003)] * 2)])  # one-row views
+                                           (5003, [(1, 5003)] * 2)])  # one set a block
     def test_offsets_any_integers_taken_mod_n(self, monkeypatch, n, shapes):
         base = legendre_sequence(n)
         want = isl_report([np.roll(base, -t) for t in (2**70 % n, 3)])
@@ -455,21 +455,23 @@ class TestBlockedRoundTrips:
     @pytest.mark.parametrize("offset", [0.3, np.nan])
     @pytest.mark.parametrize("call, row", [(0, 5), (1, 3), (2, 7)])
     def test_residual_names_its_own_row(self, monkeypatch, offset, call, row):
-        # a fault planted in one row of one block names that row, not the
-        # block's first
+        # a fault planted in one row of one block reports that row's own
+        # residual, not the block's first: the rows before it carry 0.2,
+        # under the limit
         irfft = np.fft.irfft
         calls = []
 
         def planted(*args, **kw):
             out = irfft(*args, **kw)
             if len(calls) == call:
+                out[:row] += 0.2
                 out[row] += offset
             calls.append(1)
             return out
 
         monkeypatch.setattr(np.fft, "irfft", planted)
         base = legendre_sequence(self.N)
-        match = f"sequence {16 * call + row} \\(n={self.N}\\)"
+        match = f"^FFT column sum of n={self.N} lies {offset:.3g} from an integer"
         with pytest.raises(RoundingResidualError, match=match):
             isl_totals(base, range(self.M))
         calls.clear()
@@ -484,9 +486,17 @@ def column_oracle(base, offsets):
     return sum(np.correlate(r, r, mode="full")[n - 1:] for r in rows)
 
 
+# the ways offsets are widened: by offset n - 1 or a duplicate of the
+# first, or cut to one-row sets (all starts equal)
+EXTRA = ["none", "last", "duplicate", "single", "all-equal", "only-last"]
+
+
 def with_extra_offset(offsets, n, extra):
-    """offsets, plus offset n - 1 or a duplicate of the first."""
-    return offsets + {"none": [], "last": [n - 1], "duplicate": offsets[:1]}[extra]
+    """offsets, plus offset n - 1 or a duplicate of the first; or only the
+    first (M = 1), the first len(offsets) times, or only n - 1."""
+    return {"none": offsets, "last": offsets + [n - 1], "duplicate": offsets + offsets[:1],
+            "single": offsets[:1], "all-equal": offsets[:1] * len(offsets),
+            "only-last": [n - 1]}[extra]
 
 
 def counted_rfft(monkeypatch):
@@ -509,7 +519,7 @@ class TestColumnSums:
     @given(
         base=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=257),
         offsets=st.lists(st.integers(-600, 600), min_size=1, max_size=6),
-        extra=st.sampled_from(["none", "last", "duplicate"]),
+        extra=st.sampled_from(EXTRA),
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_rows_and_correlate_oracle(self, base, offsets, extra):
@@ -523,7 +533,7 @@ class TestColumnSums:
     @given(
         n=st.sampled_from(primes_in_range(3, 600)),
         offsets=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
-        extra=st.sampled_from(["none", "last", "duplicate"]),
+        extra=st.sampled_from(EXTRA),
     )
     @settings(max_examples=120, deadline=None)
     def test_legendre_totals_match_rows(self, n, offsets, extra):
@@ -543,10 +553,12 @@ class TestColumnSums:
             assert (b[1:] + b[:0:-1] - 1).tolist() == periodic_autocorrelation(b).tolist()
 
     @pytest.mark.parametrize("ns, shapes", [
-        # smooth lengths 45, 64, 216 and 432: one block, padded to L = 432
-        ([23, 31, 101, 211], [((4, 2, 211), 432)]),
-        # L = 4050: two sets fill 2 x 2 x 4050 <= 2^14, a third starts a block
-        ([2003, 2011, 2017], [((2, 2, 2011), 4050), ((1, 2, 2017), 4050)]),
+        # smooth lengths 45, 64, 216 and 432: one block, padded to L = 432,
+        # of one row for the one-rotation set and two for each other
+        ([23, 31, 101, 211], [((7, 211), 432)]),
+        # L = 4050: one- and two-row sets fill 3 x 4050 <= 2^14, a third
+        # set starts a block
+        ([2003, 2011, 2017], [((3, 2011), 4050), ((2, 2017), 4050)]),
     ])
     def test_blocks_mix_smooth_lengths(self, monkeypatch, ns, shapes):
         # and each set its own M: 1, 2, 3, then 4 with a duplicate
@@ -562,6 +574,36 @@ class TestColumnSums:
         calls.clear()
         assert list(_legendre_totals(sets)) == want
         assert calls == shapes
+
+    @pytest.mark.parametrize("n, offsets", [
+        (499, [137]),  # M = 1 at an offset off 0
+        (211, [-5, 206, 417, 206]),  # all-equal duplicates: one start, M = 4
+        (101, [100]),  # offset n - 1
+        (3, [2, 5]),
+        (1, [0]),
+    ])
+    def test_one_row_sets_match_correlate_oracle(self, monkeypatch, n, offsets):
+        # a set whose starts all equal is one row, its rotated window
+        base = np.random.default_rng(n).choice([-1, 1], n)
+        calls = counted_rfft(monkeypatch)
+        (got_base, m, c), = _column_sums([(base, offsets)])
+        assert calls == [((1, n), _smooth_length(2 * n - 1))]
+        assert got_base is base and m == len(offsets) and c.dtype == np.int64
+        assert c.tolist() == column_oracle(base, offsets).tolist()
+
+    def test_budget_counts_rows_not_sets(self, monkeypatch):
+        # at L = 1000 (n = 499, 491) a block holds 16 rows: fourteen
+        # one-row sets and one two-row set fill it, the next set starts a
+        # block; at two rows a set it would hold 8
+        sets = [(legendre_sequence(499), [t] * (1 + t % 3)) for t in range(14)]
+        sets += [(legendre_sequence(499), [0, 250]), (legendre_sequence(491), [3, 3])]
+        calls = counted_rfft(monkeypatch)
+        got = list(_column_sums(sets))
+        assert calls == [((16, 499), 1000), ((1, 491), 1000)]
+        for (base, offsets), (_, m, c) in zip(sets, got, strict=True):
+            assert m == len(offsets)
+            assert c.tolist() == column_oracle(base, offsets).tolist()
+        assert list(_legendre_totals(sets)) == [isl_totals(*s).total for s in sets]
 
     def test_all_ones_at_max_exact_n_within_residual_limit(self, monkeypatch):
         # the largest inputs the commands allow: |c(k)| = M (n - k) up to
@@ -581,7 +623,8 @@ class TestColumnSums:
         assert len(residuals) == 1 and residuals[0] < MAX_ROUNDING_RESIDUAL / 1000
 
     @pytest.mark.parametrize("offset", [0.3, -0.3, np.nan])
-    def test_rounding_residual_guard_names_its_own_n(self, monkeypatch, offset):
+    @pytest.mark.parametrize("offsets", [[0, 3, 7], [5], [4, 4]])  # two rows, one, one
+    def test_rounding_residual_guard_names_its_own_n(self, monkeypatch, offset, offsets):
         # a fault planted in the third set of a block names that set's n
         irfft = np.fft.irfft
 
@@ -591,7 +634,7 @@ class TestColumnSums:
             return out
 
         monkeypatch.setattr(np.fft, "irfft", planted)
-        sets = [(legendre_sequence(n), [0, 3, 7]) for n in (23, 31, 101, 211)]
+        sets = [(legendre_sequence(n), offsets) for n in (23, 31, 101, 211)]
         with pytest.raises(RoundingResidualError, match=r"^FFT column sum of n=101 lies"):
             list(_column_sums(sets))
 

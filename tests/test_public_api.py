@@ -166,13 +166,11 @@ def test_optimize_imports_only_asymptotic():
 
 
 def test_one_caller_per_fft():
-    # one power-spectrum primitive under the exact and spectral paths:
-    # rfft only in correlation.power_spectrum, its inverse only in the row
-    # routine both exact paths share, the complex transform only in
-    # gf_at_roots; the column-sum engine, whose spectrum is a cross
-    # spectrum, makes its own round trip in _column_block.  Every module
-    # of the package is walked, and numpy.fft is named nowhere else, not
-    # even as a bare reference
+    # rfft in the spectral path's power_spectrum and in the one exact
+    # engine, _column_block, whose spectrum is a cross spectrum; its
+    # inverse only in that engine; the complex transform only in
+    # gf_at_roots.  Every module of the package is walked, and numpy.fft
+    # is named nowhere else, not even as a bare reference
     callers, named = {}, set()
     for path in sorted(pathlib.Path(islkit.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -187,11 +185,10 @@ def test_one_caller_per_fft():
                         and node.value.attr == "fft"):
                     callers.setdefault(node.attr, set()).add(where)
     assert callers == {"rfft": {"correlation.power_spectrum", "correlation._column_block"},
-                       "irfft": {"correlation._rounded_autocorrelation",
-                                 "correlation._column_block"},
+                       "irfft": {"correlation._column_block"},
                        "ifft": {"spectral.gf_at_roots"}}
-    assert named == {"correlation.power_spectrum", "correlation._rounded_autocorrelation",
-                     "correlation._column_block", "spectral.gf_at_roots"}
+    assert named == {"correlation.power_spectrum", "correlation._column_block",
+                     "spectral.gf_at_roots"}
 
 
 def names_by_function() -> set[tuple[str, str]]:
@@ -216,32 +213,42 @@ def names_by_function() -> set[tuple[str, str]]:
 
 
 def test_one_row_builder():
-    # the row rule (windows of the doubled base, offsets taken mod n) is
-    # written once, in sequences._rotations; the exact engine reads rows by
-    # index, and np.roll's rotate_left is left to the tests as its twin
+    # the row rule (offsets taken mod n, row p the base rotated left by
+    # starts[p]) is written once, in sequences._starts; the row views are
+    # windows of the doubled base, made only in sequences._rotations; the
+    # exact engine reads each set's starts, and np.roll's rotate_left is
+    # left to the tests as its twin
     found = names_by_function()
 
     def naming(name):
         return {where for where, named in found if named == name}
 
+    def called(name):
+        return {where for where in naming(name) if not where.endswith("<module>")}
+
     assert naming("sliding_window_view") == {"sequences._rotations"}
     assert naming("rotate_left") == set()
     assert "rotate_left" not in islkit.__all__
     assert callable(importlib.import_module("islkit.sequences").rotate_left)
-    # every row path goes through it: RotationSet.sequences() (the rows of
-    # gen and of isl_report in the cross-check), isl_totals, the pattern check
-    assert {where for where in naming("_rotations") if not where.endswith("<module>")} \
-        == {"sequences.sequences", "correlation.isl_totals", "selfcheck.batches"}
+    assert called("_starts") == {"sequences._rotations", "correlation._column_sums"}
+    # the views serve RotationSet.sequences() (the rows of gen and of
+    # isl_report in the cross-check) and the pattern check
+    assert called("_rotations") == {"sequences.sequences", "selfcheck.batches"}
+    # every exact value goes through the one engine
+    assert called("_column_sums") == {"correlation._legendre_totals", "correlation.isl_totals",
+                                      "correlation.isl_report",
+                                      "selfcheck.periodic_autocorrelation_exact"}
+    assert called("_column_block") == {"correlation._column_sums"}
     # no callable reaches the engine: it calls none of its parameters, and
     # no caller hands it a lambda or a nested function
     tree = ast.parse(inspect.getsource(islkit.correlation))
     engine = next(node for node in tree.body
-                  if getattr(node, "name", None) == "_rounded_autocorrelation")
+                  if getattr(node, "name", None) == "_column_block")
     params = {arg.arg for arg in engine.args.args}
-    assert params == {"rows", "starts"}
-    called = {node.func.id for node in ast.walk(engine)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert not params & called
+    assert params == {"block", "length"}
+    calls = {node.func.id for node in ast.walk(engine)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not params & calls
     for node in ast.walk(tree):
         assert not isinstance(node, ast.Lambda)
         if isinstance(node, ast.FunctionDef):
