@@ -31,9 +31,10 @@ from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequ
 # range, limits its time.  On a 2-core x86-64 host with one BLAS thread,
 # fresh processes, at the bound: isl with 55 rotations at n = 2399993
 # takes ~18 s at ~250 MB and 140 at n = 999983 ~15 s at ~122 MB.  isl
-# at n <= SPECTRAL_CHECK_MAX_N also builds the (M, n) array and the pair
-# matrices for its cross-checks: 1000 rotations at n = 199 take ~0.45 s
-# at ~88 MB.  sweep and optimize --exact-check take only the column sum
+# at n <= SPECTRAL_CHECK_MAX_N takes its terms from isl_report instead,
+# which builds the (M, n) array and the pair matrices its spectral
+# cross-check compares: 1000 rotations at n = 199 take ~0.35 s at
+# ~85 MB.  sweep and optimize --exact-check take only the column sum
 # per prime, whose cost does not grow with M (see _check_exact_work):
 # from n = 3, one rotation sweeps to n = 27554 in ~3.5 s, two to 19806
 # in ~2.5 s, three to 16332 in ~2.2 s, four to 14244 in ~2.1 s, 100 to
@@ -194,42 +195,33 @@ def _isl_spectral_crosscheck(report, seqs) -> None:
                                 f"rel_err={result.max_error:.3e}")
 
 
-def _totals(rset):
-    """The set's streamed totals (isl_totals: each rotation a one-row set
-    of the one Legendre base, checked for +-1 once), whose total must
-    equal the set's fold-checked column sum (_legendre_totals): M
-    one-row spectra against the base's two rows, or, where every offset
-    is equal, one row checked by the fold alone."""
+def _checked_totals(rset):
+    """The set's terms from one exact pass, each value checked by one twin.
+    At n <= SPECTRAL_CHECK_MAX_N they are isl_report's, every term checked
+    against the spectral path; above it isl_totals streams them from the
+    one Legendre base.  At every n the total must equal the set's
+    fold-checked column sum (_legendre_totals): M one-row spectra against
+    the base's two rows, or, where every offset is equal, one row checked
+    by the fold alone."""
     base = legendre_sequence(rset.n)
-    totals = isl_totals(base, rset.offsets)
+    if rset.n <= SPECTRAL_CHECK_MAX_N:
+        seqs = rset.sequences()
+        terms = isl_report(seqs)
+        _isl_spectral_crosscheck(terms, seqs)
+    else:
+        terms = isl_totals(base, rset.offsets)
     twin, = _legendre_totals([(base, rset.offsets)])
-    if twin != totals.total:
+    if twin != terms.total:
         raise ValidationFailure(f"FFT column sum of n={rset.n} gives the total {twin}, "
-                                f"its rows {totals.total}")
-    return totals
-
-
-def _crosschecked_totals(rset):
-    """Streamed totals, checked against isl_report's total and auto part,
-    whose terms are checked pair by pair against the spectral path."""
-    seqs = rset.sequences()
-    report = isl_report(seqs)
-    _isl_spectral_crosscheck(report, seqs)
-    totals = _totals(rset)
-    auto_part = sum(report.auto_terms.tolist())
-    streamed_auto = sum(totals.auto_terms.tolist())
-    if (totals.total, streamed_auto) != (report.total, auto_part):
-        raise ValidationFailure(
-            f"streamed total {totals.total} (auto part {streamed_auto}) differs from "
-            f"isl_report's terms {report.total} (auto part {auto_part})")
-    return totals
+                                f"its rows {terms.total}")
+    return terms
 
 
 def cmd_isl(args) -> int:
     fractions = parse_fraction_list(args.fractions)
     n = _exact_length(args.n, len(fractions))
     rset = bind_rotations(fractions, n)
-    totals = _crosschecked_totals(rset) if n <= SPECTRAL_CHECK_MAX_N else _totals(rset)
+    totals = _checked_totals(rset)
     # Python ints: exact at any n, and the same digits as fmt below 10^12
     auto_part = sum(totals.auto_terms.tolist())
     cross_part = totals.total - auto_part

@@ -21,8 +21,8 @@ one transform.  Every exact path reads it:
   matrix product, in O(M n log n + M^2 n) time and O(M n) memory;
 - `selfcheck.periodic_autocorrelation_exact` folds one one-row set.
 
-`power_spectrum` at the 2*3*5-smooth length of `_smooth_length` is the
-spectral path's primitive; the spectral module imports both from here.
+The spectral path takes its power spectra at the same 2*3*5-smooth
+length, `_smooth_length`, which it imports from here.
 
 `aperiodic_correlation` and the energies built on it use plain sliding
 products (numpy's direct correlate, no FFT).  They are the oracle the
@@ -109,19 +109,6 @@ def _smooth_length(k: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def power_spectrum(rows, length: int) -> np.ndarray:
-    """|rfft(rows, length)|^2 along the last axis, bins 0 .. length // 2:
-    |Q|^2 of the zero-padded rows at exp(2 pi i k / length), squared in
-    place in the transform's output (numpy.fft, loaded on first use) and
-    returned in it, imaginary parts zero, the form irfft reads uncopied."""
-    spec = np.fft.rfft(rows, length)
-    power, imag = spec.real, spec.imag
-    np.square(power, out=power)
-    power += np.square(imag, out=imag)
-    imag.fill(0.0)
-    return spec
 
 
 # Values (rows x FFT length) per FFT round trip of the column engine:

@@ -163,13 +163,6 @@ def check_kernel_twin(max_n: int, rng) -> CheckResult:
     return _worst_error("kernel-twin", 1e-8, batches())
 
 
-def check_gauss_sum_closed_form(max_n: int, rng) -> CheckResult:
-    """The closed-form Gauss sums against the transform of the Legendre
-    sequence, at every root of unity of every prime n <= max_n, relative
-    to 1 + |value|; one of the three prime_checks."""
-    return prime_checks(max_n)[0]
-
-
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -209,20 +202,6 @@ def _magnitude_tolerance(max_n: int) -> float:
     return _power_of_ten_above((2 * math.sqrt(max_n) * d + d * d) / max_n + 4 * EPS)
 
 
-def check_gauss_sum_magnitude(max_n: int, rng) -> CheckResult:
-    """|Q(eps_j) - 1|^2 against n at every j != 0 of every prime n <= max_n,
-    within _magnitude_tolerance(max_n); one of the three prime_checks."""
-    return prime_checks(max_n)[1]
-
-
-def check_periodic_bound(max_n: int, rng) -> CheckResult:
-    """Cyclic autocorrelation of a Legendre sequence stays within 3 in
-    magnitude at every nonzero lag, for every prime n <= max_n; one of the
-    three prime_checks.  Its values come from the exact engine
-    (periodic_autocorrelation_exact), O(n log n) per prime."""
-    return prime_checks(max_n)[2]
-
-
 def periodic_autocorrelation_exact(seq) -> np.ndarray:
     """Cyclic autocorrelation of one +-1 sequence at lags 1 .. n-1, as
     int64: r(k) + r(n - k), with r the aperiodic lags of seq as a one-row
@@ -235,7 +214,15 @@ def periodic_autocorrelation_exact(seq) -> np.ndarray:
 
 def prime_checks(max_n: int) -> list[CheckResult]:
     """gauss-sum-closed-form, gauss-sum-magnitude and periodic-bound, in
-    one pass over the primes n <= max_n.
+    one pass over the primes n <= max_n:
+    - gauss-sum-closed-form: the closed-form Gauss sums against the
+      transform of the Legendre sequence at every root of unity, the error
+      relative to 1 + |value|;
+    - gauss-sum-magnitude: |Q(eps_j) - 1|^2 against n at every j != 0,
+      within _magnitude_tolerance(max_n);
+    - periodic-bound: the cyclic autocorrelation stays within 3 in
+      magnitude at every nonzero lag; its values come from the exact
+      engine (periodic_autocorrelation_exact), O(n log n) per prime.
 
     Each prime's Legendre sequence is built once; its one gf_at_roots
     transform feeds both Gauss-sum checks, and periodic-bound folds its

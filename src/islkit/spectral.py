@@ -7,9 +7,9 @@ the sums over the n-th roots of unity (resp. their negatives) of
 2n-th roots of unity; any L >= 2n - 1 roots serve as well, since the
 2n - 1 lags of a correlation fit in a length-L transform without
 wrapping.  So a set's energies are one Gram matrix of power spectra
-(the exact path's `correlation.power_spectrum`) at the same 2*3*5-smooth
-length L >= 2n - 1 the exact path uses, where numpy's FFT needs no
-generic radix-n pass for a prime n.  Lagrange interpolation from the
+(`power_spectrum`) at the same 2*3*5-smooth length L >= 2n - 1 the
+exact path uses (`correlation._smooth_length`), where numpy's FFT needs
+no generic radix-n pass for a prime n.  Lagrange interpolation from the
 n-th roots to their negatives is one circulant convolution, taken
 through gf_at_roots as a sign flip of the odd-indexed coefficients.
 S_minus additionally admits a closed-form expansion through
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _smooth_length, power_spectrum
+from .correlation import _smooth_length
 from .sequences import _real_array, _require_odd_prime
 
 
@@ -161,6 +161,14 @@ def interpolate_negated_root(at_roots, j):
     return values[_integers(j, "root indices") % n]
 
 
+def power_spectrum(rows, length: int) -> np.ndarray:
+    """|rfft(rows, length)|^2 along the last axis, bins 0 .. length // 2:
+    |Q|^2 of the zero-padded rows at exp(2 pi i k / length), as the real
+    re^2 + im^2 (numpy.fft, loaded on first use)."""
+    spec = np.fft.rfft(rows, length)
+    return np.square(spec.real) + np.square(spec.imag)
+
+
 def energy_matrix_spectral(rows) -> np.ndarray:
     """(M, M) cross-correlation energies, all lags, of M rows of odd length
     n: 1/L of the Gram matrix of the rows' |Q|^2 at the L-th roots of
@@ -177,7 +185,7 @@ def energy_matrix_spectral(rows) -> np.ndarray:
     length = _smooth_length(2 * n - 1)
     # bins k with 2k = 0 (mod L), 0 and L/2, are their own conjugates
     weights = np.where(2 * np.arange(length // 2 + 1) % length, np.sqrt(2.0), 1.0)
-    power = power_spectrum(rows, length).real * weights
+    power = power_spectrum(rows, length) * weights
     return power @ power.T / length
 
 

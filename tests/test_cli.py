@@ -118,7 +118,7 @@ class TestIsl:
         # the spectral path reads |Q|^2 from this primitive and the exact
         # engine makes its own round trip, so the cross-check between them
         # catches a scaled or a NaN power spectrum
-        true_fn = islkit.correlation.power_spectrum
+        true_fn = islkit.spectral.power_spectrum
         monkeypatch.setattr(islkit.spectral, "power_spectrum",
                             lambda rows, length: true_fn(rows, length) * factor)
         code, lines, err = run(capsys, "isl", "--n", "101", "--fractions", "0.1", "0.6")
@@ -194,24 +194,41 @@ class TestIsl:
         assert "Traceback" not in err
 
     def test_corrupted_fold_fails_the_streamed_twin(self, capsys, monkeypatch):
-        # below the spectral bound the printed total comes from the
-        # streamed fold and must equal isl_report's auto plus pair terms
+        # below the spectral bound the printed total is isl_report's, and
+        # the column sum's total, summed by _sum_of_squares, must equal it
         true_fn = islkit.correlation._sum_of_squares
         monkeypatch.setattr(islkit.correlation, "_sum_of_squares",
                             lambda values, bound: true_fn(values, bound) + 1)
         code, lines, err = run(capsys, "isl", "--n", "7", "--fractions", "0", "0.5", "0.25")
         assert code == 2
         assert lines == []
-        assert err == ("validation failure: streamed total 334 (auto part 66) differs "
-                       "from isl_report's terms 332 (auto part 66)\n")
+        assert err == ("validation failure: FFT column sum of n=7 gives the total 334, "
+                       "its rows 332\n")
 
-    @pytest.mark.parametrize("n", ["211", "1009"])
-    @pytest.mark.parametrize("fault", ["rows", "twin", "fold"])
+    def test_one_engine_pass_and_one_twin_per_set(self, capsys, monkeypatch):
+        # below the spectral bound isl sends its M rows through the engine
+        # once, as one-row sets for isl_report, and the twin's two rows
+        true_fn = islkit.correlation._column_block
+        rows = []
+
+        def counted(block, length):
+            rows.append(sum(1 + two for _, _, two in block))
+            return true_fn(block, length)
+
+        monkeypatch.setattr(islkit.correlation, "_column_block", counted)
+        code, lines, _ = run(capsys, "isl", "--n", "101", "--fractions", "0.1", "0.35", "0.8")
+        assert (code, len(lines)) == (0, 2)
+        assert sum(rows) == 3 + 2
+
+    @pytest.mark.parametrize("fault,n", [(fault, n) for fault in ("rows", "twin", "fold")
+                                         for n in ("211", "1009")]
+                             + [("twin", "101"), ("fold", "101")])
     def test_isl_total_has_a_column_sum_twin_at_every_n(self, capsys, monkeypatch, n, fault):
-        # above the spectral bound the streamed total (one-row sets) is
-        # checked against the set's fold-checked column sum (one M-row set):
-        # a fault in a row, or in the twin where the fold cannot see it
-        # (+1 at lag 5, -1 at lag n - 5), is a mismatch; a fold break
+        # the printed total (one-row sets: isl_report's at n <= 199, where
+        # the spectral cross-check sees a row fault first, isl_totals'
+        # above) is checked against the set's fold-checked column sum (one
+        # M-row set): a fault in a row, or in the twin where the fold cannot
+        # see it (+1 at lag 5, -1 at lag n - 5), is a mismatch; a fold break
         # names its lag
         argv = ["isl", "--n", n, "--fractions", "0.1", "0.35", "0.8"]
         code, lines, _ = run(capsys, *argv)
@@ -718,10 +735,10 @@ class TestValidate:
         assert run(capsys, "validate", "--max-n", "61", "--seed", "7") == first
 
     def test_nan_gauss_sum_fails_the_magnitude_check(self, monkeypatch):
-        # gf_at_roots feeds three checks, so this one is called alone
+        # gf_at_roots feeds both Gauss-sum checks; the magnitude result is read alone
         monkeypatch.setattr(islkit.spectral, "gf_at_roots",
                             lambda seq: np.full(len(seq), np.nan + 0j))
-        result = islkit.selfcheck.check_gauss_sum_magnitude(13, None)
+        result = islkit.selfcheck.prime_checks(13)[1]
         assert not result.passed
         assert np.isnan(result.max_error)
         assert result.worst_input == "n=3 j=1"

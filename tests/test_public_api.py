@@ -121,8 +121,11 @@ def test_wrappers_of_the_energy_matrix_are_gone():
     assert "energy_matrix_spectral" in islkit.__all__
     gone = {
         "islkit.asymptotic": ("auto_energy_limit", "cross_energy_limit"),
-        "islkit.correlation": ("auto_sidelobe_energy",),
+        "islkit.cli": ("_totals", "_crosschecked_totals"),
+        "islkit.correlation": ("auto_sidelobe_energy", "power_spectrum"),
         "islkit.optimize": ("exact_validate", "ExactCheck"),
+        "islkit.selfcheck": ("check_gauss_sum_closed_form", "check_gauss_sum_magnitude",
+                             "check_periodic_bound"),
         "islkit.sequences": ("legendre_symbol", "next_prime"),
         "islkit.spectral": ("cross_energy_spectral", "auto_sidelobe_energy_spectral",
                             "power_sum_at_roots", "_power_product_sum",
@@ -184,11 +187,24 @@ def test_one_caller_per_fft():
                 if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
                         and node.value.attr == "fft"):
                     callers.setdefault(node.attr, set()).add(where)
-    assert callers == {"rfft": {"correlation.power_spectrum", "correlation._column_block"},
+    assert callers == {"rfft": {"spectral.power_spectrum", "correlation._column_block"},
                        "irfft": {"correlation._column_block"},
                        "ifft": {"spectral.gf_at_roots"}}
-    assert named == {"correlation.power_spectrum", "correlation._column_block",
+    assert named == {"spectral.power_spectrum", "correlation._column_block",
                      "spectral.gf_at_roots"}
+
+
+def test_validate_runs_every_check():
+    # every public selfcheck function that returns check results is one
+    # that run_validation calls: no check is defined that validate skips
+    tree = ast.parse(inspect.getsource(importlib.import_module("islkit.selfcheck")))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    checks = {name for name, node in functions.items() if not name.startswith("_")
+              and ast.unparse(node.returns) in ("CheckResult", "list[CheckResult]")}
+    called = {node.func.id for node in ast.walk(functions["run_validation"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "prime_checks" in checks
+    assert checks - {"run_validation"} <= called, checks - called
 
 
 def names_by_function() -> set[tuple[str, str]]:

@@ -167,7 +167,7 @@ class TestRunValidation:
     def test_magnitude_tolerance_follows_its_model(self, max_n, tolerance, monkeypatch):
         # the Legendre checks themselves are skipped: only the bound is read
         monkeypatch.setattr(selfcheck, "primes_in_range", lambda lo, hi: [])
-        assert selfcheck.check_gauss_sum_magnitude(max_n, None).tolerance == tolerance
+        assert selfcheck.prime_checks(max_n)[1].tolerance == tolerance
 
     def test_pattern_decomposition_model_premises(self):
         # S_minus >= n^3 / 4 for every rotation pair at every prime <= 61,
