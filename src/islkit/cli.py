@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -43,8 +44,9 @@ from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequ
 # the 8 rotations over 23..499 of the README take ~0.15 s.
 MAX_EXACT_WORK = 28 * 10**8
 SPECTRAL_CHECK_MAX_N = 199
-# surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~3.5 s and
-# peaks near 340 MB, and the cost grows with R^2.
+# surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~1.5 s of
+# CPU and peaks near 225 MB (fresh processes, 2-core x86-64 host), and
+# the cost grows with R^2.
 SURFACE_RESOLUTION_CAP = 1000
 # Bounds --m (optimize, sweep --optimal) and every --fractions list (isl,
 # sweep, asym).  isl_limit evaluates a set with M x M arrays: asym with
@@ -188,8 +190,9 @@ def _isl_spectral_crosscheck(report, seqs) -> None:
         name = f"auto[{p}]" if p == q else f"cross[{p},{q}]"
         return f"{name}: direct={direct[at]} spectral={float(spectral[at])!r}"
 
-    result = selfcheck._worst_error("isl-spectral-crosscheck", selfcheck._SPECTRAL_VS_EXACT_TOL,
-                                     [(err, label)])
+    worst = selfcheck._Worst("isl-spectral-crosscheck", selfcheck._SPECTRAL_VS_EXACT_TOL)
+    worst.add(err, label)
+    result = worst.result()
     if not result.passed:
         raise ValidationFailure(f"spectral cross-check failed for {result.worst_input} "
                                 f"rel_err={result.max_error:.3e}")
@@ -258,9 +261,10 @@ def cmd_surface(args) -> int:
 
     axis = np.arange(r + 1) / r
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    rows = np.column_stack([grid, isl_limit(grid).total])
+    labels = [fmt(f) for f in axis.tolist()]  # each axis value formatted once
+    totals = map(fmt, isl_limit(grid).total.tolist())
     lines = ["f1,f2,asym_isl"]
-    lines.extend(",".join(map(fmt, row)) for row in rows.tolist())
+    lines.extend(f"{f1},{f2},{t}" for (f1, f2), t in zip(product(labels, repeat=2), totals))
     _emit(lines, args.output)
     return 0
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _real_array, _starts, check_antipodal
+from .sequences import _cut_rotations, _real_array, _starts, check_antipodal
 
 
 # Largest distance from its integer at which an FFT correlation value
@@ -111,14 +111,15 @@ def _smooth_length(k: int) -> int:
     return best
 
 
-# Values (rows x FFT length) per FFT round trip of the column engine:
+# Values (rows x lag span) per FFT round trip of the column engine:
 # consecutive sets share one rfft, one irfft and one rint while their
-# rows (one per set whose starts are all equal, else two) times the
-# smooth length L of the longest stay within 2^14, which at a sweep's
-# small n costs less than the ~25 numpy calls a set pays on its own.
-# Where a block holds several sets its float rows and rounded lags take
-# at most 64 KB each, its spectrum and w at most 128 KB each: under
-# 0.5 MB in all.  Past L = 2^13 (n > 4096) every block is one set, as at
+# rows (one per set whose starts are all equal, else two) times the lag
+# span 2n - 1 of the longest stay within 2^14, which at a sweep's small
+# n costs less than the ~25 numpy calls a set pays on its own.  The
+# smooth length is at most 1.16 times the span, so where a block holds
+# several sets its float rows and rounded lags take about 64 KB each,
+# its spectrum and w at most ~150 KB each: under 0.5 MB in all.  Past
+# n = 4096 (a span above 2^13) every block is one set, as at
 # n ~ 20 000 and n ~ 10^6, with O(n) buffers.  A budget of 2^16 made
 # 8 rows at n = 12007 ~30% slower per call than one row at a time:
 # buffers that large fault in fresh pages on every call (~1.2k minor
@@ -157,37 +158,37 @@ def _column_sums(sets):
     c(k) = w(k) - (w(n - k) - w(k - n)) / 2: two rows per set, whatever M.
     A set whose starts all equal t is one row, its window at t taken as
     the base: G = M from 0 on, U = M B and a = 0, so w = M r is c.
-    Consecutive sets share one rfft and one irfft at the smooth length L
-    of the longest, while their rows times L stay within _BLOCK_VALUES.
+    Consecutive sets share one rfft and one irfft while their rows times
+    the longest's lag span 2n - 1 stay within _BLOCK_VALUES.
     Raises RoundingResidualError, naming n, if a value is not within
     MAX_ROUNDING_RESIDUAL of an integer.
     """
-    block, rows, length = [], 0, 0
+    block, rows, span = [], 0, 0
     for base, offsets in sets:
         starts = _starts(offsets, len(base))
-        size = _smooth_length(2 * len(base) - 1)
         two = len(set(starts.tolist())) > 1
-        if block and (rows + 1 + two) * max(length, size) > _BLOCK_VALUES:
-            yield from _column_block(block, length)
-            block, rows, length = [], 0, 0
+        if block and (rows + 1 + two) * max(span, 2 * len(base) - 1) > _BLOCK_VALUES:
+            yield from _column_block(block)
+            block, rows, span = [], 0, 0
         block.append((base, starts, two))
         rows += 1 + two
-        length = max(length, size)
+        span = max(span, 2 * len(base) - 1)
     if block:
-        yield from _column_block(block, length)
+        yield from _column_block(block)
 
 
-def _column_block(block, length: int):
+def _column_block(block):
     """_column_sums of one block of (base, starts, two) sets, all
-    transformed at the one smooth length given.  Row j of the transform is
-    set j's window: at its one start for a one-row set, else at 0, the
-    base; the b G rows of the two-row sets follow, in order."""
+    transformed at one smooth length, that of the longest's lag span.
+    Row j of the transform is set j's window (_cut_rotations): at its one
+    start for a one-row set, else at 0, the base; the b G rows of the
+    two-row sets follow, in order."""
     ns = [len(base) for base, _, _ in block]
+    length = _smooth_length(2 * max(ns) - 1)
     pairs = [j for j, (_, _, two) in enumerate(block) if two]
     rows = np.zeros((len(block) + len(pairs), max(ns)))
     for j, (base, starts, two) in enumerate(block):
-        n, t = ns[j], 0 if two else starts[0]
-        rows[j, :n - t], rows[j, n - t:n] = base[t:], base[:t]
+        _cut_rotations(base, (0,) if two else starts[:1], rows[j:j + 1])
     for i, j in enumerate(pairs, len(block)):
         base, starts, _ = block[j]
         np.multiply(base, np.bincount(starts, minlength=ns[j]).cumsum(), out=rows[i, :ns[j]])

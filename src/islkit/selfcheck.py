@@ -20,7 +20,7 @@ import numpy as np
 from . import spectral
 from .asymptotic import re_dilog_on_circle
 from .correlation import _column_sums, cross_energy
-from .sequences import _rotations, legendre_sequence, primes_in_range
+from .sequences import _cut_rotations, _starts, legendre_sequence, primes_in_range
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,13 @@ class CheckResult:
 
 
 class _Worst:
-    """The worst error of one check over the batches added so far; the
-    rules are _worst_error's.  Several checks that share their inputs
-    each keep one, fed batch by batch, so no batch is held past its turn."""
+    """The worst error of one check, fed batch by batch so that no batch is
+    held past its turn: add(errors, label) takes an array or a scalar of
+    errors and label(i), which names entry i of the flattened errors.
+    Ties keep the first strict maximum, within and across batches, so an
+    all-zero check names its first input.  A NaN error counts as the
+    worst: the first NaN makes max_error NaN, fails the check and is the
+    input named."""
 
     def __init__(self, name: str, tolerance: float):
         self.name, self.tolerance = name, tolerance
@@ -51,22 +55,6 @@ class _Worst:
     def result(self) -> CheckResult:
         return CheckResult(self.name, self.worst, self.tolerance,
                            self.worst <= self.tolerance, self.where)
-
-
-def _worst_error(name: str, tolerance: float, batches) -> CheckResult:
-    """Judge a check by its worst error over all its inputs.
-
-    batches yields (errors, label) pairs: an array or a scalar of
-    errors, and label(i), which names entry i of the flattened errors
-    and is called before the next batch is drawn.  Ties keep the first
-    strict maximum, within a batch and across batches, so an all-zero
-    check names its first input.  A NaN error counts as the worst: the
-    first NaN makes max_error NaN, fails the check and is the input named.
-    """
-    worst = _Worst(name, tolerance)
-    for errors, label in batches:
-        worst.add(errors, label)
-    return worst.result()
 
 
 class _Draws:
@@ -143,24 +131,24 @@ _SPECTRAL_VS_EXACT_TOL = 1e-9
 
 
 def check_spectral_vs_direct(max_n: int, rng) -> CheckResult:
-    def batches():
-        for n in range(3, max_n + 1, 2):
-            rows = 2 * rng.integers(0, 2, (10, n)) - 1  # pairs (0, 1), (2, 3), ...
-            pairs = spectral.energy_matrix_spectral(rows)[range(0, 10, 2), range(1, 10, 2)]
-            direct = np.array([cross_energy(rows[i], rows[i + 1]) for i in range(0, 10, 2)])
-            yield np.abs(pairs - direct) / np.abs(direct), lambda i: f"n={n}"
-    return _worst_error("spectral-vs-direct", _SPECTRAL_VS_EXACT_TOL, batches())
+    worst = _Worst("spectral-vs-direct", _SPECTRAL_VS_EXACT_TOL)
+    for n in range(3, max_n + 1, 2):
+        rows = 2 * rng.integers(0, 2, (10, n)) - 1  # pairs (0, 1), (2, 3), ...
+        pairs = spectral.energy_matrix_spectral(rows)[range(0, 10, 2), range(1, 10, 2)]
+        direct = np.array([cross_energy(rows[i], rows[i + 1]) for i in range(0, 10, 2)])
+        worst.add(np.abs(pairs - direct) / np.abs(direct), lambda i: f"n={n}")
+    return worst.result()
 
 
 def check_kernel_twin(max_n: int, rng) -> CheckResult:
-    def batches():
-        for n in range(5, max_n + 1, 2):
-            quads = random_quads(rng, n, 500)
-            direct = spectral.kernel_sums_direct(quads, n)
-            closed = spectral.kernel_sums_closed_form(quads, n)
-            yield (np.abs(closed - direct) / (1.0 + np.abs(direct)),
-                   lambda i: f"n={n} quad={tuple(quads[i].tolist())}")
-    return _worst_error("kernel-twin", 1e-8, batches())
+    worst = _Worst("kernel-twin", 1e-8)
+    for n in range(5, max_n + 1, 2):
+        quads = random_quads(rng, n, 500)
+        direct = spectral.kernel_sums_direct(quads, n)
+        closed = spectral.kernel_sums_closed_form(quads, n)
+        worst.add(np.abs(closed - direct) / (1.0 + np.abs(direct)),
+                  lambda i: f"n={n} quad={tuple(quads[i].tolist())}")
+    return worst.result()
 
 
 EPS = float(np.finfo(np.float64).eps)
@@ -315,19 +303,20 @@ def check_dilog_series(rng) -> CheckResult:
     thetas = np.linspace(-2 * np.pi, 2 * np.pi, DILOG_GRID + 2)[1:-1]
     series, bound = dilog_series(thetas, DILOG_TERMS)
     err = np.abs(re_dilog_on_circle(thetas) - series)
-    tol = _power_of_ten_above(bound.max())
-    return _worst_error("dilog-series", tol, [(err, lambda i: f"theta={thetas[i]:.6f}")])
+    worst = _Worst("dilog-series", _power_of_ten_above(bound.max()))
+    worst.add(err, lambda i: f"theta={thetas[i]:.6f}")
+    return worst.result()
 
 
 def check_lagrange_interpolation(max_n: int, rng) -> CheckResult:
-    def batches():
-        for n in range(3, max_n + 1, 2):
-            seq = rng.uniform(-1, 1, n)
-            at_roots = spectral.gf_at_roots(seq)
-            direct = spectral.gf_eval(seq, -spectral.roots_of_unity(n))
-            interp = spectral.interpolate_negated_root(at_roots, np.arange(n))
-            yield np.abs(direct - interp), lambda j: f"n={n} j={j}"
-    return _worst_error("lagrange-interpolation", 1e-8, batches())
+    worst = _Worst("lagrange-interpolation", 1e-8)
+    for n in range(3, max_n + 1, 2):
+        seq = rng.uniform(-1, 1, n)
+        at_roots = spectral.gf_at_roots(seq)
+        direct = spectral.gf_eval(seq, -spectral.roots_of_unity(n))
+        interp = spectral.interpolate_negated_root(at_roots, np.arange(n))
+        worst.add(np.abs(direct - interp), lambda j: f"n={n} j={j}")
+    return worst.result()
 
 
 def check_pattern_decomposition(max_n: int, rng) -> CheckResult:
@@ -362,19 +351,18 @@ def check_pattern_decomposition(max_n: int, rng) -> CheckResult:
     At n = 61 (L = 3.58) the relative bound is
     16 (L^4 + L^3) q^3 d / n^2 + 5.3e-10 < 7.2e-9, so the tolerance is 1e-8.
     """
-    def batches():
-        for n in primes_in_range(3, max_n):
-            base = legendre_sequence(n)
-            for _ in range(2):
-                ta, tb = rng.integers(0, n, size=2)
-                windows, starts = _rotations(base, (ta, tb), np.float64)
-                a, b = windows[starts]
-                direct = spectral.power_sum_at_negated_roots(a, b)
-                recon = spectral.pattern_decomposition(a, b).negated_power_sum
-                # np.maximum, not max: max(1.0, nan) drops the NaN
-                err = np.maximum(abs(recon.real - direct), abs(recon.imag)) / abs(direct)
-                yield err, lambda i: f"n={n} t=({ta},{tb})"
-    return _worst_error("pattern-decomposition", 1e-8, batches())
+    worst = _Worst("pattern-decomposition", 1e-8)
+    for n in primes_in_range(3, max_n):
+        base = legendre_sequence(n)
+        for _ in range(2):
+            ta, tb = rng.integers(0, n, size=2)
+            a, b = _cut_rotations(base, _starts((ta, tb), n), np.empty((2, n)))
+            direct = spectral.power_sum_at_negated_roots(a, b)
+            recon = spectral.pattern_decomposition(a, b).negated_power_sum
+            # np.maximum, not max: max(1.0, nan) drops the NaN
+            err = np.maximum(abs(recon.real - direct), abs(recon.imag)) / abs(direct)
+            worst.add(err, lambda i: f"n={n} t=({ta},{tb})")
+    return worst.result()
 
 
 def run_validation(max_n: int = 61, seed: int = 0) -> list[CheckResult]:

@@ -83,7 +83,7 @@ def legendre_sequence(n: int) -> np.ndarray:
 
 
 def rotate_left(seq: np.ndarray, t: int) -> np.ndarray:
-    """Cyclic left rotation: out[j] = seq[(j + t) mod n], any integer t; twin of _rotations."""
+    """Cyclic left rotation: out[j] = seq[(j + t) mod n], any integer t; twin of _cut_rotations."""
     seq = np.asarray(seq)
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
@@ -101,14 +101,14 @@ def _starts(offsets, n: int) -> np.ndarray:
         raise ValueError(f"offsets must be integers: {exc}") from None
 
 
-def _rotations(base: np.ndarray, offsets, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only windows of the doubled base in dtype, row s the base rotated
-    left by s, and the _starts of the offsets: row p of a set is
-    windows[starts[p]]."""
+def _cut_rotations(base: np.ndarray, starts, out: np.ndarray) -> np.ndarray:
+    """Write the base rotated left by starts[p] (each in [0, n): _starts)
+    into out[p, :n] as two slices, the one place rotated rows are cut;
+    columns past n keep their values.  Returns out."""
     n = len(base)
-    starts = _starts(offsets, n)
-    doubled = np.concatenate([base, base], dtype=dtype)
-    return np.lib.stride_tricks.sliding_window_view(doubled, n), starts
+    for row, t in zip(out, starts):
+        row[:n - t], row[n - t:n] = base[t:], base[:t]
+    return out
 
 
 def check_antipodal(seq) -> np.ndarray:
@@ -155,8 +155,9 @@ class RotationSet:
 
     def sequences(self) -> np.ndarray:
         """(M, n) int64 array, row p the Legendre sequence rotated left by offsets[p] mod n."""
-        windows, starts = _rotations(legendre_sequence(self.n), self.offsets, np.int64)
-        return windows[starts]
+        base = legendre_sequence(self.n)
+        starts = _starts(self.offsets, self.n)
+        return _cut_rotations(base, starts, np.empty((len(starts), self.n), dtype=np.int64))
 
 
 def bind_rotations(fractions, n: int) -> RotationSet:

@@ -211,9 +211,9 @@ class TestIsl:
         true_fn = islkit.correlation._column_block
         rows = []
 
-        def counted(block, length):
+        def counted(block):
             rows.append(sum(1 + two for _, _, two in block))
-            return true_fn(block, length)
+            return true_fn(block)
 
         monkeypatch.setattr(islkit.correlation, "_column_block", counted)
         code, lines, _ = run(capsys, "isl", "--n", "101", "--fractions", "0.1", "0.35", "0.8")
@@ -363,6 +363,17 @@ class TestSurface:
         rows = {tuple(l.split(",")[:2]): float(l.split(",")[2]) for l in lines[1:]}
         assert len(rows) == 9
         assert rows[("0.5", "0")] == pytest.approx(8 / 3)
+
+    @pytest.mark.parametrize("r", [2, 8, 136])
+    def test_rows_match_per_row_formatting(self, capsys, r):
+        # each axis value is formatted once; every row must read as the
+        # three cells of the (f1, f2) grid, f2 fastest, formatted one by one
+        axis = np.arange(r + 1) / r
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        rows = np.column_stack([grid, islkit.asymptotic.isl_limit(grid).total])
+        code, lines, _ = run(capsys, "surface", "--resolution", str(r))
+        assert code == 0
+        assert lines == ["f1,f2,asym_isl"] + [",".join(map(cli.fmt, row)) for row in rows.tolist()]
 
     def test_symmetric_across_diagonal(self, capsys):
         _, lines, _ = run(capsys, "surface", "--resolution", "8")

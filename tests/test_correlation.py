@@ -437,6 +437,22 @@ class TestBlockedRoundTrips:
         assert got.auto_terms.tolist() == rep.auto_terms.tolist() == auto
         assert got.total == rep.total == sum(auto) + cross
 
+    def test_one_smooth_length_per_block(self, monkeypatch):
+        # eight rotations at n = 211 are eight one-row sets in one block
+        # (8 x 421 <= 2^14): its transform length is worked out once
+        true_fn = islkit.correlation._smooth_length
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return true_fn(k)
+
+        monkeypatch.setattr(islkit.correlation, "_smooth_length", counted)
+        got = isl_totals(legendre_sequence(211), range(8))
+        assert calls == [421]
+        assert got.total == isl_report([np.roll(legendre_sequence(211), -t)
+                                        for t in range(8)]).total
+
     def test_cross_terms_span_blocks(self):
         # the engine yields each block in one reused buffer, so a pair whose
         # rows sit in different blocks, such as (0, 39), (5, 20) or (17, 33),

@@ -125,8 +125,8 @@ def test_wrappers_of_the_energy_matrix_are_gone():
         "islkit.correlation": ("auto_sidelobe_energy", "power_spectrum"),
         "islkit.optimize": ("exact_validate", "ExactCheck"),
         "islkit.selfcheck": ("check_gauss_sum_closed_form", "check_gauss_sum_magnitude",
-                             "check_periodic_bound"),
-        "islkit.sequences": ("legendre_symbol", "next_prime"),
+                             "check_periodic_bound", "_worst_error"),
+        "islkit.sequences": ("legendre_symbol", "next_prime", "_rotations"),
         "islkit.spectral": ("cross_energy_spectral", "auto_sidelobe_energy_spectral",
                             "power_sum_at_roots", "_power_product_sum",
                             "gf_at_negated_roots"),
@@ -230,10 +230,10 @@ def names_by_function() -> set[tuple[str, str]]:
 
 def test_one_row_builder():
     # the row rule (offsets taken mod n, row p the base rotated left by
-    # starts[p]) is written once, in sequences._starts; the row views are
-    # windows of the doubled base, made only in sequences._rotations; the
-    # exact engine reads each set's starts, and np.roll's rotate_left is
-    # left to the tests as its twin
+    # starts[p]) is written once, in sequences._starts; every rotated row
+    # is cut as two slices in sequences._cut_rotations, with no doubled
+    # base or window view; the exact engine reads each set's starts, and
+    # np.roll's rotate_left is left to the tests as its twin
     found = names_by_function()
 
     def naming(name):
@@ -242,14 +242,17 @@ def test_one_row_builder():
     def called(name):
         return {where for where in naming(name) if not where.endswith("<module>")}
 
-    assert naming("sliding_window_view") == {"sequences._rotations"}
+    assert naming("sliding_window_view") == set()
     assert naming("rotate_left") == set()
     assert "rotate_left" not in islkit.__all__
     assert callable(importlib.import_module("islkit.sequences").rotate_left)
-    assert called("_starts") == {"sequences._rotations", "correlation._column_sums"}
-    # the views serve RotationSet.sequences() (the rows of gen and of
-    # isl_report in the cross-check) and the pattern check
-    assert called("_rotations") == {"sequences.sequences", "selfcheck.batches"}
+    assert called("_starts") == {"sequences.sequences", "correlation._column_sums",
+                                 "selfcheck.check_pattern_decomposition"}
+    # the cutter serves RotationSet.sequences() (the rows of gen and of
+    # isl_report in the cross-check), the exact engine's transform rows
+    # and the pattern check
+    assert called("_cut_rotations") == {"sequences.sequences", "correlation._column_block",
+                                        "selfcheck.check_pattern_decomposition"}
     # every exact value goes through the one engine
     assert called("_column_sums") == {"correlation._legendre_totals", "correlation.isl_totals",
                                       "correlation.isl_report",
@@ -261,7 +264,7 @@ def test_one_row_builder():
     engine = next(node for node in tree.body
                   if getattr(node, "name", None) == "_column_block")
     params = {arg.arg for arg in engine.args.args}
-    assert params == {"block", "length"}
+    assert params == {"block"}
     calls = {node.func.id for node in ast.walk(engine)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert not params & calls

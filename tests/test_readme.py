@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import islkit
 from islkit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -58,3 +61,15 @@ def test_cli_examples_run(tmp_path, capsys):
         out, comments = shown[command]
         assert out.splitlines()[0] == comments[0].split(":")[0].split()[0], command
     assert (tmp_path / "surface.csv").read_text().splitlines()[0] == "f1,f2,asym_isl"
+
+
+def test_private_names_resolve():
+    # every private name the README puts in backticks, bare or as
+    # module._name, must still exist in an islkit module
+    modules = [importlib.import_module(f"islkit.{m.name}")
+               for m in pkgutil.iter_modules(islkit.__path__)]
+    names = re.findall(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)`", README.read_text(encoding="utf-8"))
+    assert names
+    for module, name in names:
+        scope = [m for m in modules if m.__name__ == f"islkit.{module}"] if module else modules
+        assert any(hasattr(m, name) for m in scope), f"{module}.{name}"

@@ -205,8 +205,10 @@ class TestWorstError:
         ([[0.0, 0.0], 0.0], 0.0, "0:0"),
     ])
     def test_ties_and_nan(self, batches, worst, where):
-        result = selfcheck._worst_error("t", 0.25, [
-            (errors, lambda i, b=b: f"{b}:{i}") for b, errors in enumerate(batches)])
+        check = selfcheck._Worst("t", 0.25)
+        for b, errors in enumerate(batches):
+            check.add(errors, lambda i: f"{b}:{i}")
+        result = check.result()
         assert result.worst_input == where
         np.testing.assert_equal(result.max_error, worst)  # NaN equals NaN here
         assert result.passed == (worst <= 0.25)
