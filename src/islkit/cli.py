@@ -11,7 +11,8 @@ import argparse
 import math
 import os
 import sys
-from itertools import product
+from contextlib import nullcontext
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -44,9 +45,10 @@ from .sequences import (bind_rotations, check_fractions, is_prime, legendre_sequ
 # the 8 rotations over 23..499 of the README take ~0.15 s.
 MAX_EXACT_WORK = 28 * 10**8
 SPECTRAL_CHECK_MAX_N = 199
-# surface --resolution R prints (R+1)^2 rows; R = 1000 takes ~1.5 s of
-# CPU and peaks near 225 MB (fresh processes, 2-core x86-64 host), and
-# the cost grows with R^2.
+# surface --resolution R prints (R+1)^2 rows, streamed to the output;
+# R = 1000 takes ~0.9-1.2 s of CPU and peaks near 136 MB, most of it
+# isl_limit's arrays (fresh processes, 2-core x86-64 host, one BLAS
+# thread), and the cost grows with R^2.
 SURFACE_RESOLUTION_CAP = 1000
 # Bounds --m (optimize, sweep --optimal) and every --fractions list (isl,
 # sweep, asym).  isl_limit evaluates a set with M x M arrays: asym with
@@ -157,22 +159,37 @@ def _check_m(m: int) -> int:
 
 
 def _emit(lines, output_path):
-    if output_path:
-        try:
-            with open(output_path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {output_path!r}: {exc.strerror or exc}") from None
-    else:
-        # flushed here, so a closed pipe raises inside main, not at exit
-        print("\n".join(lines), flush=True)
+    """Write the lines, each ended by a newline, to output_path, or to
+    stdout when it is None; 2**14 lines per write, so a generator of
+    lines is never held whole.  A failed write is a UsageError, except a
+    closed pipe, which main ends quietly.  On stdout, what is still
+    buffered goes to devnull, so the flush at exit does not fail again."""
+    try:
+        with open(output_path, "w") if output_path else nullcontext(sys.stdout) as out:
+            if out is None:  # the process started with stdout closed
+                raise OSError("the stream is closed")
+            lines = iter(lines)
+            while chunk := list(islice(lines, 2**14)):
+                # the newline is a write of its own: an unbuffered stdout
+                # (python -u) drops the rest of a write that a closing
+                # reader cut short, and only the next write raises
+                out.write("\n".join(chunk))
+                out.write("\n")
+            out.flush()
+    except OSError as exc:
+        if not output_path and sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        target = repr(output_path) if output_path else "standard output"
+        raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 def cmd_gen(args) -> int:
     n = _exact_length(args.n, 1)
     rset = bind_rotations([parse_fraction(args.fraction)], n)
     seq = rset.sequences()[0]
-    _emit([" ".join(str(int(v)) for v in seq)], args.output)
+    _emit([" ".join(map({1: "1", -1: "-1"}.__getitem__, seq.tolist()))], args.output)
     return 0
 
 
@@ -263,9 +280,8 @@ def cmd_surface(args) -> int:
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     labels = [fmt(f) for f in axis.tolist()]  # each axis value formatted once
     totals = map(fmt, isl_limit(grid).total.tolist())
-    lines = ["f1,f2,asym_isl"]
-    lines.extend(f"{f1},{f2},{t}" for (f1, f2), t in zip(product(labels, repeat=2), totals))
-    _emit(lines, args.output)
+    rows = (f"{f1},{f2},{t}" for (f1, f2), t in zip(product(labels, repeat=2), totals))
+    _emit(chain(["f1,f2,asym_isl"], rows), args.output)
     return 0
 
 
@@ -397,10 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BrokenPipeError:
-        # the reader left: send what is still buffered to devnull, so the
-        # flush at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader left; _emit dropped the rest
         return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,16 +19,17 @@ import pytest
 import islkit
 import islkit.cli as cli
 
-TRACED = pathlib.Path(__file__).parent.parent / "perfbench" / "traced.py"
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
-def traced_layers() -> tuple[str, ...]:
-    """The LAYERS tuple of perfbench/traced.py, read without running it."""
-    for node in ast.parse(TRACED.read_text()).body:
+def perfbench_literal(module: str, name: str):
+    """The literal that perfbench/<module>.py binds to `name` at top
+    level, read without running the file."""
+    for node in ast.parse((PERFBENCH / f"{module}.py").read_text()).body:
         names = [getattr(target, "id", None) for target in getattr(node, "targets", [])]
-        if names == ["LAYERS"]:
+        if names == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/traced.py defines no LAYERS")
+    raise AssertionError(f"perfbench/{module}.py defines no {name}")
 
 
 def test_report_terms_read_by_the_oracle_test():
@@ -51,9 +52,24 @@ def test_cli_functions_the_tracer_wraps():
     assert callable(cli._emit)
 
 
-@pytest.mark.parametrize("layer", traced_layers())
+@pytest.mark.parametrize("layer", perfbench_literal("traced", "LAYERS"))
 def test_traced_layers_import(layer):
     importlib.import_module(f"islkit.{layer}")
+
+
+def test_validate_prints_the_checks_the_oracle_reads(capsys):
+    # the oracle fails every validate op unless it prints exactly these
+    # checks, in this order, each as `ok NAME max_error=... tol=...`;
+    # a new check needs the oracle first
+    checks = perfbench_literal("oracle", "VALIDATE_CHECKS")
+    assert tuple(r.name for r in islkit.selfcheck.run_validation(13, 0)) == checks
+    assert cli.main(["validate", "--max-n", "13"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["ok", name] for name in checks]
+    for line in lines:
+        fields = line.split()
+        assert len(fields) == 4, line
+        assert fields[2].startswith("max_error=") and fields[3].startswith("tol="), line
 
 
 def test_ops_run_as_a_module():

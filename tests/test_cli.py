@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,22 @@ class TestSurface:
         code, lines, _ = run(capsys, "surface", "--resolution", str(r))
         assert code == 0
         assert lines == ["f1,f2,asym_isl"] + [",".join(map(cli.fmt, row)) for row in rows.tolist()]
+
+    def test_rows_stream_to_the_writer(self, tmp_path):
+        # _emit writes the generated rows 2**14 at a time: no list of all
+        # lines and no joined copy of the output.  tracemalloc peaked at
+        # 29.9 MB when the rows were listed and joined whole and 18.3 MB
+        # streamed (Python 3.11, numpy 2.4), most of it isl_limit's own
+        # transient arrays
+        tracemalloc.start()
+        try:
+            code = cli.main(["surface", "--resolution", "400",
+                             "--output", str(tmp_path / "surface.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 24e6
 
     def test_symmetric_across_diagonal(self, capsys):
         _, lines, _ = run(capsys, "surface", "--resolution", "8")
@@ -903,6 +920,47 @@ class TestPlumbing:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and "Exception ignored" not in err
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv,redirect,target", [
+        pytest.param(["optimize", "--m", "2"], "> /dev/full", "standard output",
+                     id="stdout-full"),
+        # ~290 KB, more than a pipe buffer
+        pytest.param(["gen", "--n", "100003"], "> /dev/full", "standard output",
+                     id="stdout-full-large"),
+        pytest.param(["optimize", "--m", "2", "--output", "/dev/full"], "", "'/dev/full'",
+                     id="output-full"),
+        # closed before the process starts, so sys.stdout is None
+        pytest.param(["optimize", "--m", "2"], ">&-", "standard output", id="stdout-closed"),
+    ])
+    def test_failed_write_exits_one_with_one_error_line(self, argv, redirect, target,
+                                                         unbuffered):
+        if "/dev/full" in redirect + " ".join(argv) and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
+                               sys.executable, "-m", "islkit.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_pipe_closed_mid_write_exits_one_either_buffering(self, unbuffered):
+        # unbuffered, a write cut short by the reader's close returns
+        # without error; only the next write raises
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen([sys.executable, "-m", "islkit.cli", "gen", "--n", "100003"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(4096)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, lines, _ = run(
@@ -951,7 +1009,9 @@ _VALUES = {
     "--n-max": _one(st.one_of(_INTS, _HUGE)),
     "--max-n": _one(st.one_of(st.integers(-1, 7), _HUGE)),
     "--seed": _one(st.integers(-2, 5)),
-    "--output": _one(st.sampled_from(["@out", "@missing"])),
+    # /dev/full opens but takes no write
+    "--output": _one(st.sampled_from(["@out", "@missing"]
+                                     + ["/dev/full"] * os.path.exists("/dev/full"))),
     "--optimal": st.just([]),
     "--bogus": st.just(["1"]),
 }
