@@ -56,12 +56,12 @@ SURFACE_RESOLUTION_CAP = 1000
 # column.  optimize itself is closed-form and costs O(M).
 M_CAP = 1000
 # validate runs its three Legendre checks on every prime up to --max-n,
-# each prime with one build, one transform and one exact-engine round
-# trip (selfcheck.prime_checks).  In fresh processes with one BLAS thread
-# on a 2-core x86-64 host, --max-n 2003 takes ~0.3 s of CPU and 10000
-# ~1.5 s.  Time no longer sets the cap: every check's tolerance has been
-# verified up to it, and gauss-sum-magnitude's, which grows with n
-# (selfcheck._magnitude_tolerance), needs re-deriving above it.
+# each prime with one build and one transform, all primes through one
+# exact-engine stream (selfcheck.prime_checks).  In fresh processes with
+# one BLAS thread on a 2-core x86-64 host, --max-n 2003 takes ~0.3 s of
+# CPU and 10000 ~1.7 s.  Time no longer sets the cap: every check's
+# tolerance has been verified up to it, and gauss-sum-magnitude's, which
+# grows with n (selfcheck._magnitude_tolerance), needs re-deriving above it.
 VALIDATE_MAX_N = 10_000
 
 

@@ -19,7 +19,8 @@ one transform.  Every exact path reads it:
 - `isl_report` copies the same one-row lags into the autocorrelation
   matrix R and takes every auto and cross energy from it as one int64
   matrix product, in O(M n log n + M^2 n) time and O(M n) memory;
-- `selfcheck.periodic_autocorrelation_exact` folds one one-row set.
+- `selfcheck.prime_checks` streams every prime's Legendre row through it
+  as a one-row set and folds each row's lags.
 
 The spectral path takes its power spectra at the same 2*3*5-smooth
 length, `_smooth_length`, which it imports from here.

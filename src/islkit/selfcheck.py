@@ -190,16 +190,6 @@ def _magnitude_tolerance(max_n: int) -> float:
     return _power_of_ten_above((2 * math.sqrt(max_n) * d + d * d) / max_n + 4 * EPS)
 
 
-def periodic_autocorrelation_exact(seq) -> np.ndarray:
-    """Cyclic autocorrelation of one +-1 sequence at lags 1 .. n-1, as
-    int64: r(k) + r(n - k), with r the aperiodic lags of seq as a one-row
-    set of the exact engine (correlation._column_sums), rounded and
-    checked.  correlation.periodic_autocorrelation is its np.correlate
-    twin."""
-    (_, _, lags), = _column_sums([(np.asarray(seq), (0,))])
-    return lags[1:] + lags[:0:-1]
-
-
 def prime_checks(max_n: int) -> list[CheckResult]:
     """gauss-sum-closed-form, gauss-sum-magnitude and periodic-bound, in
     one pass over the primes n <= max_n:
@@ -208,27 +198,29 @@ def prime_checks(max_n: int) -> list[CheckResult]:
       relative to 1 + |value|;
     - gauss-sum-magnitude: |Q(eps_j) - 1|^2 against n at every j != 0,
       within _magnitude_tolerance(max_n);
-    - periodic-bound: the cyclic autocorrelation stays within 3 in
-      magnitude at every nonzero lag; its values come from the exact
-      engine (periodic_autocorrelation_exact), O(n log n) per prime.
+    - periodic-bound: the cyclic autocorrelation r(k) + r(n - k) stays
+      within 3 in magnitude at every nonzero lag, r the exact engine's lags.
 
-    Each prime's Legendre sequence is built once; its one gf_at_roots
-    transform feeds both Gauss-sum checks, and periodic-bound folds its
-    engine lags.  Each check keeps its own _Worst, so only one prime's
-    arrays are held at a time: O(max_n) memory.
+    Each prime's Legendre sequence is built once and fed, as a one-row
+    set, to one exact-engine stream (correlation._column_sums), in which
+    consecutive primes share a transform.  Each yielded row's one
+    gf_at_roots transform feeds both Gauss-sum checks, and periodic-bound
+    folds its lags.  Each check keeps its own _Worst, and the engine holds
+    one block of rows at a time: O(max_n) memory.
     """
     closed = _Worst("gauss-sum-closed-form", 1e-9)
     magnitude = _Worst("gauss-sum-magnitude", _magnitude_tolerance(max_n))
     bound = _Worst("periodic-bound", 3.0)
-    for n in primes_in_range(3, max_n):
-        ell = legendre_sequence(n)
+    rows = ((legendre_sequence(n), (0,)) for n in primes_in_range(3, max_n))
+    for ell, _, lags in _column_sums(rows):
+        n = len(ell)
         at_roots = spectral.gf_at_roots(ell)
         closed_form = spectral.legendre_gf_closed_form(n, np.arange(n), ell)
         closed.add(np.abs(closed_form - at_roots) / (1.0 + np.abs(at_roots)),
                    lambda j: f"n={n} j={j}")
         magnitude.add(np.abs(np.abs(at_roots[1:] - 1.0) ** 2 - n) / n,
                       lambda i: f"n={n} j={i + 1}")
-        bound.add(np.abs(periodic_autocorrelation_exact(ell)), lambda i: f"n={n} k={i + 1}")
+        bound.add(np.abs(lags[1:] + lags[:0:-1]), lambda i: f"n={n} k={i + 1}")
     return [closed.result(), magnitude.result(), bound.result()]
 
 
@@ -289,7 +281,7 @@ DILOG_GRID = 101
 DILOG_TERMS = 20_000
 
 
-def check_dilog_series(rng) -> CheckResult:
+def check_dilog_series() -> CheckResult:
     """Closed-form Re Li2(e^(i theta)) against its series on a grid of
     DILOG_GRID angles in (-2 pi, 2 pi), through the tail-corrected
     dilog_series with K = DILOG_TERMS.
@@ -374,7 +366,7 @@ def run_validation(max_n: int = 61, seed: int = 0) -> list[CheckResult]:
         check_spectral_vs_direct(min(max_n, 199), rng),
         check_kernel_twin(min(max_n, 101), rng),
         *prime_checks(max_n),
-        check_dilog_series(rng),
+        check_dilog_series(),
         check_lagrange_interpolation(min(max_n, 199), rng),
         check_pattern_decomposition(min(max_n, 61), rng),
     ]

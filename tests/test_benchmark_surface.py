@@ -2,15 +2,18 @@
 
 perfbench/selftest.py runs outside this suite's testpaths, so a change
 that renamed or dropped what the benchmark reads would leave this suite
-green and the benchmark broken.  These tests pin that surface.  Change
-them together with perfbench/, as part of ROADMAP item 1 (the benchmark
-refresh).
+green and the benchmark broken.  These tests pin that surface, and one
+short run of each workload checks that every op passes its oracle.
+Change them together with perfbench/, as part of ROADMAP item 1 (the
+benchmark refresh).
 """
 
 import ast
 import importlib
+import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -91,3 +94,20 @@ def test_checkout_probe_finds_the_sources():
                           cwd=src.parent, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(src / "islkit" / "__init__.py")
+
+
+@pytest.mark.parametrize("workload", perfbench_literal("workloads", "WORKLOADS"))
+def test_benchmark_smoke_run(tmp_path, workload):
+    # one short untraced run of each workload, on a copy of src/ and
+    # perfbench/ so that the results file lands in the copy: every op
+    # must pass its oracle
+    root = PERFBENCH.parent
+    for part in ("src", "perfbench"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "1", "--trace", "0"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert (summary["correct"], summary["failed"]) == (True, 0), proc.stderr

@@ -701,7 +701,7 @@ class TestValidate:
             (islkit.spectral, "energy_matrix_spectral", "spectral-vs-direct"),
             (islkit.spectral, "kernel_sums_closed_form", "kernel-twin"),
             (islkit.spectral, "legendre_gf_closed_form", "gauss-sum-closed-form"),
-            (islkit.selfcheck, "periodic_autocorrelation_exact", "periodic-bound"),
+            (islkit.selfcheck, "_column_sums", "periodic-bound"),
             (islkit.selfcheck, "re_dilog_on_circle", "dilog-series"),
             (islkit.asymptotic, "_kernel", "dilog-series"),
             (islkit.spectral, "interpolate_negated_root", "lagrange-interpolation"),
@@ -712,7 +712,11 @@ class TestValidate:
     def test_corrupted_closed_form_fails_only_its_check(self, capsys, monkeypatch,
                                                         module, name, check, factor):
         true_fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: true_fn(*args) * factor)
+        if name == "_column_sums":  # the exact-engine stream: scale every yielded lag
+            monkeypatch.setattr(module, name, lambda sets: (
+                (base, m, lags * factor) for base, m, lags in true_fn(sets)))
+        else:
+            monkeypatch.setattr(module, name, lambda *args: true_fn(*args) * factor)
         code, lines, err = run(capsys, "validate", "--max-n", "13")
         assert code == 2
         assert check in err

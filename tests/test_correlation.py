@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -670,6 +671,72 @@ class TestColumnSums:
         with pytest.raises(RoundingResidualError,
                            match=f"n=101 breaks the periodic fold .* at lag {named}$"):
             list(_legendre_totals(sets))
+
+
+def unrotated_energy(n: int) -> tuple[Fraction, Fraction]:
+    """E0(n) = (2n^2 + 3n - 5)/3 - 12(h^2 + h), the auto term of the
+    unrotated Legendre row (element 0 = +1), with h = -(1/n) sum_k k (k/n),
+    both exact: h is the class number h(-n) at n = 3 mod 4, n > 3, 1/3 at
+    n = 3 and 0 at n = 1 mod 4.  Returns (E0, h)."""
+    h = Fraction(-int(np.arange(n) @ legendre_sequence(n)), n)
+    return Fraction(2 * n * n + 3 * n - 5, 3) - 12 * (h * h + h), h
+
+
+def plant_one_lag(monkeypatch, row: int, lag: int):
+    """Add 1 at one lag of the row-th one-row set the exact engine yields."""
+    true_fn = islkit.correlation._column_sums
+
+    def planted(sets):
+        for p, (base, m, c) in enumerate(true_fn(sets)):
+            if p == row:
+                c = c.copy()
+                c[lag] += 1
+            yield base, m, c
+
+    monkeypatch.setattr(islkit.correlation, "_column_sums", planted)
+
+
+class TestExactAnchors:
+    """Closed-form integer anchors on the exact engine's auto terms."""
+
+    def test_unrotated_row_at_every_prime_to_6000(self):
+        for n in primes_in_range(3, 6000):
+            energy, h = unrotated_energy(n)
+            if n == 3:
+                assert h == Fraction(1, 3)
+            elif n % 4 == 1:
+                assert h == 0, n
+            else:  # a class number
+                assert h.denominator == 1 and h > 0, n
+            assert isl_totals(legendre_sequence(n), [0]).auto_terms[0] == energy, n
+
+    @pytest.mark.parametrize("n,h", [(999979, 155), (999983, 1171)])
+    def test_unrotated_row_near_a_million(self, n, h):
+        energy, got_h = unrotated_energy(n)
+        assert got_h == h
+        assert isl_totals(legendre_sequence(n), [0]).auto_terms[0] == energy
+
+    def test_reversal_at_every_prime_1_mod_4(self):
+        # reversing a Legendre row of n = 1 mod 4 maps rotation t to 1 - t;
+        # the primes n = 3 mod 4 (n = 11 among them) are the controls where
+        # the reversed row is another sequence and the mirror breaks
+        for n in primes_in_range(3, 103):
+            auto = isl_totals(legendre_sequence(n), range(n)).auto_terms.tolist()
+            mirrored = [auto[(1 - t) % n] for t in range(n)]
+            assert (auto == mirrored) == (n % 4 == 1), n
+
+    @pytest.mark.parametrize("lag", [1, 50, 100])
+    def test_unrotated_row_catches_one_planted_lag(self, monkeypatch, lag):
+        energy, _ = unrotated_energy(101)
+        plant_one_lag(monkeypatch, 0, lag)
+        assert isl_totals(legendre_sequence(101), [0]).auto_terms[0] != energy
+
+    @pytest.mark.parametrize("row,lag", [(0, 1), (2, 5), (12, 12)])
+    def test_reversal_catches_one_planted_lag(self, monkeypatch, row, lag):
+        # row 7 = (n + 1) / 2 is its own mirror; every other row has a partner
+        plant_one_lag(monkeypatch, row, lag)
+        auto = isl_totals(legendre_sequence(13), range(13)).auto_terms.tolist()
+        assert auto[row] != auto[(1 - row) % 13]
 
 
 class TestPeriodicAutocorrelation:

@@ -256,7 +256,7 @@ def test_one_row_builder():
     # every exact value goes through the one engine
     assert called("_column_sums") == {"correlation._legendre_totals", "correlation.isl_totals",
                                       "correlation.isl_report",
-                                      "selfcheck.periodic_autocorrelation_exact"}
+                                      "selfcheck.prime_checks"}
     assert called("_column_block") == {"correlation._column_sums"}
     # no callable reaches the engine: it calls none of its parameters, and
     # no caller hands it a lambda or a nested function

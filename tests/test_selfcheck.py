@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import islkit.correlation
 from islkit import selfcheck, spectral
 from islkit.asymptotic import re_dilog_on_circle
-from islkit.correlation import periodic_autocorrelation
+from islkit.correlation import _column_sums, periodic_autocorrelation
 from islkit.selfcheck import _distinct_draws, _Draws, dilog_series, random_quads
 from islkit.sequences import legendre_sequence, primes_in_range, rotate_left
 
@@ -102,14 +103,29 @@ class TestDraws:
 
 class TestPeriodicFold:
     def test_equals_its_correlate_twin(self):
-        # every prime <= 1000, and random +-1 rows of every length up to 40
+        # prime_checks' fold of the engine's lags, on every prime <= 1000
+        # and random +-1 rows of every length up to 40, all in one stream
         rng = np.random.default_rng(9)
         rows = [legendre_sequence(n) for n in primes_in_range(3, 1000)]
         rows += [2 * rng.integers(0, 2, n) - 1 for n in range(1, 41)]
-        for row in rows:
-            got = selfcheck.periodic_autocorrelation_exact(row)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, periodic_autocorrelation(row)), len(row)
+        for row, (base, m, lags) in zip(rows, _column_sums((r, (0,)) for r in rows),
+                                        strict=True):
+            assert (base is row, m, lags.dtype) == (True, 1, np.int64)
+            assert np.array_equal(lags[1:] + lags[:0:-1], periodic_autocorrelation(row)), len(row)
+
+    def test_prime_checks_stream_every_prime_through_two_blocks(self, monkeypatch):
+        # one engine stream, in which consecutive primes share a transform:
+        # the 45 primes up to 199 take two blocks, not one each
+        true_fn = islkit.correlation._column_block
+        sets = []
+
+        def counted(block):
+            sets.append(len(block))
+            return true_fn(block)
+
+        monkeypatch.setattr(islkit.correlation, "_column_block", counted)
+        assert all(r.passed for r in selfcheck.prime_checks(199))
+        assert (len(sets), sum(sets)) == (2, 45)
 
 
 class TestDilogSeries:
@@ -138,7 +154,7 @@ class TestDilogSeries:
         assert np.all(bound <= 4.0 / ((terms + 1) ** 3 * 0.123**2) + terms * 2.3e-16 * 1.7)
 
     def test_whole_grid_within_default_tolerance(self):
-        result = selfcheck.check_dilog_series(None)
+        result = selfcheck.check_dilog_series()
         assert result.passed
         assert result.tolerance == 1e-10
         assert result.max_error < 1e-10
